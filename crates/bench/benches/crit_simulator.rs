@@ -8,12 +8,9 @@
 //! itself is a self-contained `Instant`-based timer with no external
 //! crates.
 //!
-//! The cache-access benchmarks run twice: once with the reference slow
-//! paths (`set_fast_paths(false)` reinstates the original modulo set
-//! indexing and multi-pass way scans) and once with the fast paths, so
-//! the fast-path win is measured against the genuine old code, not a
-//! synthetic strawman. Simulated cycles are bit-identical either way —
-//! `tests/golden_stats.rs` enforces that.
+//! The paired legs (per-access loop vs compiled plan, scalar word
+//! stores vs one word run) measure two entry points over the same
+//! access sequence at identical simulated cycles.
 //!
 //! Set `STRAMASH_BENCH_JSON=<path>` to also emit the results as a flat
 //! JSON object (`scripts/bench.sh` merges it into
@@ -144,46 +141,18 @@ impl MixWalk {
     }
 }
 
-fn access_pair(fast: bool) -> (MemorySystem, MemorySystem) {
-    let mut old = hot_access_system();
-    old.set_fast_paths(false);
-    let mut new = hot_access_system();
-    new.set_fast_paths(fast);
-    (old, new)
-}
-
 fn bench_cache_access(results: &mut Vec<(String, f64)>) {
-    let (mut mem_old, mut mem_new) = access_pair(true);
-    let (mut wo, mut wn) = (PipelineWalk { addr: 0 }, PipelineWalk { addr: 0 });
-    let (old, new) = bench_pair(
-        "memory_system_access_hot_oldpath",
-        "memory_system_access_hot",
-        || wo.step(&mut mem_old),
-        || wn.step(&mut mem_new),
-    );
-    let speedup = old / new;
-    println!(
-        "fast-path speedup: {speedup:.2}x  ({old:.1} -> {new:.1} ns/access, \
-         {:.1}M accesses/sec)",
-        1e3 / new
-    );
-    results.push(("memory_system_access_hot_oldpath".to_string(), old));
-    results.push(("memory_system_access_hot".to_string(), new));
-    results.push(("memory_system_access_hot_speedup".to_string(), speedup));
-    results.push(("memory_system_access_hot_accesses_per_sec".to_string(), 1e9 / new));
+    let mut mem = hot_access_system();
+    let mut walk = PipelineWalk { addr: 0 };
+    let ns = bench_function("memory_system_access_hot", || walk.step(&mut mem));
+    println!("{:.1}M accesses/sec", 1e3 / ns);
+    results.push(("memory_system_access_hot".to_string(), ns));
+    results.push(("memory_system_access_hot_accesses_per_sec".to_string(), 1e9 / ns));
 
-    let (mut mem_old, mut mem_new) = access_pair(true);
-    let (mut wo, mut wn) = (MixWalk::default(), MixWalk::default());
-    let (old, new) = bench_pair(
-        "memory_system_access_npb_mix_oldpath",
-        "memory_system_access_npb_mix",
-        || wo.step(&mut mem_old),
-        || wn.step(&mut mem_new),
-    );
-    println!("npb-mix speedup:   {:.2}x  ({old:.1} -> {new:.1} ns/access)", old / new);
-    results.push(("memory_system_access_npb_mix_oldpath".to_string(), old));
-    results.push(("memory_system_access_npb_mix".to_string(), new));
-    results.push(("memory_system_access_npb_mix_speedup".to_string(), old / new));
+    let mut mem = hot_access_system();
+    let mut walk = MixWalk::default();
+    let ns = bench_function("memory_system_access_npb_mix", || walk.step(&mut mem));
+    results.push(("memory_system_access_npb_mix".to_string(), ns));
 
     // Plan leg: the identical mix sequence compiled once into an
     // [`AccessPlan`] and replayed through `run_plan`'s dense fast-hit
@@ -244,24 +213,18 @@ fn read4k_step(mem: &mut MemorySystem, page: &mut u64, buf: &mut [u8; 4096]) {
 }
 
 fn bench_stream_read(results: &mut Vec<(String, f64)>) {
-    let (mut mem_old, mut mem_new) = access_pair(true);
-    let mut bufs = ([0u8; 4096], [0u8; 4096]);
-    let (mut po, mut pn) = (0u64, 0u64);
-    let (old, new) = bench_pair(
-        "memory_system_read4k_oldpath",
-        "memory_system_read4k",
-        || read4k_step(&mut mem_old, &mut po, &mut bufs.0),
-        || read4k_step(&mut mem_new, &mut pn, &mut bufs.1),
-    );
-    results.push(("memory_system_read4k_oldpath".to_string(), old));
-    results.push(("memory_system_read4k".to_string(), new));
+    let mut mem = hot_access_system();
+    let mut buf = [0u8; 4096];
+    let mut page = 0u64;
+    let ns = bench_function("memory_system_read4k", || read4k_step(&mut mem, &mut page, &mut buf));
+    results.push(("memory_system_read4k".to_string(), ns));
 }
 
 /// Word-run batching: eight 8-byte stores covering one cache line,
 /// issued as eight scalar `write_u64` calls vs one `write_u64_run` —
-/// the bulk entry point the batched client slice ops drive. Both sides
-/// use the fast-path hierarchy; the win measured here is pure dispatch
-/// amortisation at identical simulated cycles.
+/// the bulk entry point the batched client slice ops drive. The win
+/// measured here is pure dispatch amortisation at identical simulated
+/// cycles.
 fn bench_word_run(results: &mut Vec<(String, f64)>) {
     let mut mem_old = hot_access_system();
     let mut mem_new = hot_access_system();

@@ -15,8 +15,7 @@ use stramash_bench::{banner, host_cores, parallel_map, parallel_map_nested, swee
 use stramash_kernel::system::OsSystem;
 use stramash_sim::{DomainId, EpochPolicy, HardwareModel, WideReplay};
 use stramash_workloads::driver::{
-    run_benchmark, run_benchmark_oldpath, run_benchmark_scalar, run_pair_benchmark,
-    Configuration,
+    run_benchmark, run_benchmark_scalar, run_pair_benchmark, Configuration,
 };
 use stramash_workloads::npb::{Class, NpbKind};
 use stramash_workloads::pair::{run_pair, PairConfig, PairOutcome};
@@ -50,18 +49,8 @@ fn main() {
     let configs = Configuration::figure9_set();
     let n = configs.len();
 
-    // End-to-end old-path leg: the same serial sweep with the memory
-    // system's fast paths *and* client batching disabled (the genuine
-    // pre-optimisation code).
-    let t0 = Instant::now();
-    let oldpath: Vec<_> = configs
-        .iter()
-        .map(|&c| run_benchmark_oldpath(c, NpbKind::Is, Class::Small).expect("oldpath run"))
-        .collect();
-    let oldpath_s = t0.elapsed().as_secs_f64();
-
-    // Scalar leg: fast memory paths but per-element client ops — the
-    // baseline the batched pipeline is measured against.
+    // Scalar leg: per-element client ops — the baseline the batched
+    // pipeline is measured against.
     let t0 = Instant::now();
     let scalar: Vec<_> = configs
         .iter()
@@ -76,11 +65,6 @@ fn main() {
         .collect();
     let serial_s = t0.elapsed().as_secs_f64();
 
-    for (o, s) in oldpath.iter().zip(&scalar) {
-        assert_eq!(o.runtime, s.runtime, "fast paths drifted from the reference implementation");
-        assert_eq!(o.messages, s.messages);
-        assert_eq!(o.remote_hits, s.remote_hits);
-    }
     for (sc, s) in scalar.iter().zip(&serial) {
         assert_eq!(sc.runtime, s.runtime, "batched pipeline drifted from the scalar path");
         assert_eq!(sc.messages, s.messages);
@@ -88,12 +72,7 @@ fn main() {
         assert_eq!(sc.inst_cycles, s.inst_cycles);
         assert_eq!(sc.mem_cycles, s.mem_cycles);
     }
-    let endtoend = oldpath_s / scalar_s;
     let batched = scalar_s / serial_s;
-    println!(
-        "end-to-end sweep: old path {oldpath_s:.2}s  ->  fast path {scalar_s:.2}s  \
-         ({endtoend:.2}x, identical cycles)"
-    );
     println!(
         "batched pipeline: scalar {scalar_s:.2}s  ->  batched {serial_s:.2}s  \
          ({batched:.2}x, identical cycles)"
@@ -206,10 +185,8 @@ fn main() {
         let json = format!(
             "{{\n  \"configs\": {n},\n  \"workers\": {workers},\n  \
              \"host_cores\": {cores},\n  \
-             \"serial_oldpath_seconds\": {oldpath_s:.3},\n  \
              \"serial_scalar_seconds\": {scalar_s:.3},\n  \
              \"serial_seconds\": {serial_s:.3},\n  \
-             \"endtoend_fastpath_speedup\": {endtoend:.2},\n  \
              \"endtoend_batched_speedup\": {batched:.2},\n  \
              \"parallel_seconds\": {parallel_s:.3},\n  \"parallel_speedup\": {speedup:.2},\n  \
              \"intra_run_serial_seconds\": {intra_serial_s:.3},\n  \

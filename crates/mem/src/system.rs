@@ -147,11 +147,6 @@ pub struct MemorySystem {
     /// division, on the per-access hot path.
     line_shift: u32,
     trace: Option<Vec<TraceEntry>>,
-    /// Whether the host-side fast paths are enabled (see
-    /// [`MemorySystem::set_fast_paths`]). The bulk run accounting keys
-    /// off this too: with fast paths off, runs replay the reference
-    /// per-access loop.
-    fast_paths: bool,
     /// Per-domain alias windows (§7: the fused simulator supports
     /// "memory remapping" — the single shared memory "may be mapped to
     /// different addresses" on each processor, as on OpenPiton).
@@ -221,7 +216,6 @@ impl MemorySystem {
             line_bytes,
             line_shift,
             trace: None,
-            fast_paths: true,
             aliases: Vec::new(),
             ecc_journal: Vec::new(),
             tracer: None,
@@ -976,9 +970,7 @@ impl MemorySystem {
     /// path fills the L1, a write leaves the line Modified with the peer
     /// already snooped out, and re-touching the MRU line is idempotent —
     /// so they are accounted in bulk (`n` L1 hits at L1 latency, `n`
-    /// trace entries) in O(1) instead of `n` pipeline walks. With the
-    /// fast paths disabled the repeats replay the reference per-access
-    /// loop, so the golden tests can compare the two.
+    /// trace entries) in O(1) instead of `n` pipeline walks.
     pub fn access_line_run(
         &mut self,
         domain: DomainId,
@@ -994,15 +986,9 @@ impl MemorySystem {
             self.epoch_defer_access(domain, line_addr, access, kind, count);
             return Cycles::ZERO;
         }
-        let mut cycles = self.access_line(domain, line_addr, access, kind).cycles;
+        let cycles = self.access_line(domain, line_addr, access, kind).cycles;
         let n = count - 1;
         if n == 0 {
-            return cycles;
-        }
-        if !self.fast_paths {
-            for _ in 0..n {
-                cycles += self.access_line(domain, line_addr, access, kind).cycles;
-            }
             return cycles;
         }
         let di = domain.index();
@@ -1125,26 +1111,6 @@ impl MemorySystem {
             left -= n;
         }
         cycles
-    }
-
-    /// Toggles the host-side cache fast paths (set masking, MRU probe,
-    /// last-line hit) on every cache in the system. Simulated timing is
-    /// bit-identical either way; `false` reinstates the reference code
-    /// so benches and the golden tests can compare the two.
-    pub fn set_fast_paths(&mut self, enabled: bool) {
-        self.fast_paths = enabled;
-        for h in &mut self.hierarchies {
-            h.set_fast_paths(enabled);
-        }
-        if let Some(l3) = &mut self.shared_l3 {
-            l3.set_fast_paths(enabled);
-        }
-    }
-
-    /// Whether the host-side fast paths are currently enabled.
-    #[must_use]
-    pub fn fast_paths(&self) -> bool {
-        self.fast_paths
     }
 
     // ---- deferred-epoch execution ------------------------------------------
@@ -1287,11 +1253,10 @@ impl MemorySystem {
             // lines avoid both the peer's epoch and the peer's
             // conservative LLC window, and (b) no cross-lane host
             // state is shared (debug trace off, no shared LLC, no
-            // aliases, fast paths on so the run accounting is bulk).
+            // aliases).
             let parallel = self.epoch.allow_wide
                 && lanes[0] >= self.epoch.min_lane
                 && lanes[1] >= self.epoch.min_lane
-                && self.fast_paths
                 && self.shared_l3.is_none()
                 && self.aliases.is_empty()
                 && self.trace.is_none()
@@ -1438,11 +1403,11 @@ impl MemorySystem {
     /// Replays the plan's ops in `range` as timed data accesses. Cycle-, stat-
     /// and trace-identical to issuing each op through
     /// [`MemorySystem::access_line`] in order: with the tracer or the
-    /// debug trace on (or fast paths off, or a shared LLC) it *is*
-    /// that loop; otherwise repeat hits on resident lines — the vast
-    /// majority for a compiled loop nest — are accounted in bulk
-    /// against the structure-of-arrays mirrors without the per-access
-    /// dispatch. Plan addresses must be canonical.
+    /// debug trace on (or a shared LLC) it *is* that loop; otherwise
+    /// repeat hits on resident lines — the vast majority for a compiled
+    /// loop nest — are accounted in bulk against the caches' packed tag
+    /// arrays without the per-access dispatch. Plan addresses must be
+    /// canonical.
     pub fn run_plan(
         &mut self,
         domain: DomainId,
@@ -1466,11 +1431,7 @@ impl MemorySystem {
             }
             return Cycles::ZERO;
         }
-        if !self.fast_paths
-            || self.tracer.is_some()
-            || self.trace.is_some()
-            || self.shared_l3.is_some()
-        {
+        if self.tracer.is_some() || self.trace.is_some() || self.shared_l3.is_some() {
             let mut cycles = Cycles::ZERO;
             for (i, &addr) in addrs.iter().enumerate() {
                 let access =
@@ -1482,9 +1443,9 @@ impl MemorySystem {
             return cycles;
         }
         // Dense fast path, lane-parallel (DESIGN.md §11.6): classify
-        // up to `PLAN_LANES` ops at once against the structure-of-
-        // arrays tag mirrors — a pure sweep with no LRU, hint, or stat
-        // side effects — then commit the leading all-hit run with the
+        // up to `PLAN_LANES` ops at once against the L1D's packed tag
+        // array — a pure sweep with no LRU, hint, or stat side
+        // effects — then commit the leading all-hit run with the
         // exact probe side effects and one bulk account, and push the
         // first non-hit op through the full pipeline just as the
         // per-op loop does. An op is a pure L1 hit when the line is
@@ -1504,7 +1465,6 @@ impl MemorySystem {
         let n = addrs.len();
         let mut k = 0usize;
         let mut lines = [0u64; PLAN_LANES];
-        let mut ways = [0u8; PLAN_LANES];
         while k < n {
             let w = (n - k).min(PLAN_LANES);
             for (j, &addr) in addrs[k..k + w].iter().enumerate() {
@@ -1512,7 +1472,7 @@ impl MemorySystem {
             }
             let wmask = plan.write_window(start + k) as u32;
             let h = &self.hierarchies[di];
-            let hit = h.l1d.classify_lanes(&lines[..w], &mut ways);
+            let hit = h.l1d.classify_lanes(&lines[..w]);
             // Write lanes additionally need L3 ownership.
             let mut fast = hit;
             let mut writes = fast & wmask;
@@ -1524,7 +1484,7 @@ impl MemorySystem {
                 writes &= writes - 1;
             }
             let run = ((!fast).trailing_zeros() as usize).min(w);
-            self.hierarchies[di].l1d.touch_hits(&lines[..run], &ways[..run]);
+            self.hierarchies[di].l1d.touch_hits(&lines[..run]);
             fast_ops += run as u64;
             k += run;
             if run < w {
@@ -1576,7 +1536,6 @@ impl MemorySystem {
             "checkpoint taken inside an open epoch"
         );
         e.tag(0x4d_454d53); // "MEMS"
-        e.bool(self.fast_paths);
         for h in &self.hierarchies {
             h.save_state(e);
         }
@@ -1623,7 +1582,6 @@ impl MemorySystem {
     ) -> Result<(), stramash_sim::checkpoint::CheckpointError> {
         use stramash_sim::checkpoint::CheckpointError;
         d.tag(0x4d_454d53)?;
-        self.fast_paths = d.bool()?;
         for h in &mut self.hierarchies {
             h.load_state(d)?;
         }
@@ -1883,8 +1841,7 @@ fn lane_replay(mut cx: LaneCtx<'_>, log: &[(u32, EpochEntry)], carry_in: Cycles)
 }
 
 /// Replays one logged access (with its run repeats), mirroring
-/// [`MemorySystem::access_line_run`]'s fast path: repeats are
-/// guaranteed L1 hits (fast paths are on, or the flush ran serially).
+/// [`MemorySystem::access_line_run`]: repeats are guaranteed L1 hits.
 fn lane_access(
     cx: &mut LaneCtx<'_>,
     seq: u32,

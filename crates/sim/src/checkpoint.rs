@@ -28,8 +28,9 @@ use std::fmt;
 /// Artifact magic: `STRM`.
 pub const MAGIC: u32 = 0x5354_524d;
 
-/// Current artifact format version.
-pub const VERSION: u32 = 1;
+/// Current artifact format version. Version 2 dropped the cache
+/// fast-path flags and the per-set occupancy from the cache sections.
+pub const VERSION: u32 = 2;
 
 /// Errors raised while decoding a checkpoint artifact.
 #[derive(Debug, Clone, PartialEq, Eq)]

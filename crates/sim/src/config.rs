@@ -90,6 +90,10 @@ pub struct CacheGeometry {
 }
 
 impl CacheGeometry {
+    /// The widest supported associativity: each set's LRU order is
+    /// packed four bits per way into one `u64`.
+    pub const MAX_WAYS: u32 = 16;
+
     /// Creates a cache geometry.
     ///
     /// # Panics
@@ -105,14 +109,16 @@ impl CacheGeometry {
     }
 
     /// Whether the geometry is internally consistent: power-of-two line
-    /// size, at least one way, whole sets, and a power-of-two set count
-    /// (the cache indexes sets with a mask, never a modulo). The total
-    /// capacity itself need not be a power of two — e.g. a 48 KB 12-way
-    /// L1 has 64 sets and is perfectly valid.
+    /// size, 1 to [`CacheGeometry::MAX_WAYS`] ways, whole sets, and a
+    /// power-of-two set count (the cache indexes sets with a mask,
+    /// never a modulo). The total capacity itself need not be a power
+    /// of two — e.g. a 48 KB 12-way L1 has 64 sets and is perfectly
+    /// valid.
     #[must_use]
     pub fn is_valid(&self) -> bool {
         self.line_bytes.is_power_of_two()
             && self.ways > 0
+            && self.ways <= Self::MAX_WAYS
             && self.size_bytes.is_multiple_of(self.line_bytes as u64 * self.ways as u64)
             && self.sets().is_power_of_two()
     }
@@ -466,10 +472,17 @@ impl SimConfig {
                 ("L2", d.cache.l2),
                 ("L3", d.cache.l3),
             ] {
-                // A geometry that is sound except for its set count gets
-                // the specific error: the caches index sets with a
-                // power-of-two mask, so a non-power-of-two count would
-                // otherwise silently demand a modulo slow path.
+                // Too many ways, or a geometry that is sound except for
+                // its set count, gets the specific error: the caches pack
+                // each set's LRU order into 16 nibbles and index sets
+                // with a power-of-two mask.
+                if geo.ways > CacheGeometry::MAX_WAYS {
+                    return Err(ConfigError::TooManyWays {
+                        machine: d.name.clone(),
+                        level: lvl,
+                        ways: geo.ways,
+                    });
+                }
                 if geo.line_bytes.is_power_of_two()
                     && geo.ways > 0
                     && geo.size_bytes.is_multiple_of(geo.line_bytes as u64 * geo.ways as u64)
@@ -530,6 +543,16 @@ pub enum ConfigError {
         /// The offending set count.
         sets: u64,
     },
+    /// A cache level has more than [`CacheGeometry::MAX_WAYS`] ways,
+    /// more than the packed per-set LRU order can hold.
+    TooManyWays {
+        /// The machine whose cache is invalid.
+        machine: String,
+        /// Which level is invalid.
+        level: &'static str,
+        /// The offending associativity.
+        ways: u32,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -546,6 +569,13 @@ impl fmt::Display for ConfigError {
                 write!(
                     f,
                     "machine {machine} {level} has {sets} sets; set counts must be a power of two"
+                )
+            }
+            ConfigError::TooManyWays { machine, level, ways } => {
+                write!(
+                    f,
+                    "machine {machine} {level} has {ways} ways; at most {} are supported",
+                    CacheGeometry::MAX_WAYS
                 )
             }
         }
@@ -692,6 +722,26 @@ mod tests {
         }
         let msg = cfg.validate().unwrap_err().to_string();
         assert!(msg.contains("1536"), "error must name the offending count: {msg}");
+    }
+
+    #[test]
+    fn validate_rejects_more_than_sixteen_ways_with_typed_error() {
+        let mut cfg = SimConfig::big_pair();
+        // 4 MB, 32-way, 64 B lines → 2048 sets: sound except for the
+        // associativity.
+        let wide = CacheGeometry { size_bytes: 4 << 20, ways: 32, line_bytes: 64 };
+        assert!(!wide.is_valid());
+        assert!(CacheGeometry { ways: 16, ..wide }.is_valid());
+        cfg.domains[1].cache.l3 = wide;
+        match cfg.validate() {
+            Err(ConfigError::TooManyWays { level, ways, .. }) => {
+                assert_eq!(level, "L3");
+                assert_eq!(ways, 32);
+            }
+            other => panic!("expected TooManyWays, got {other:?}"),
+        }
+        let msg = cfg.validate().unwrap_err().to_string();
+        assert!(msg.contains("32 ways"), "error must name the offending count: {msg}");
     }
 
     #[test]

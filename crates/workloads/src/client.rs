@@ -766,7 +766,7 @@ impl<S: OsSystem> BatchScope<'_, '_, S> {
     /// canonical physical address of every access into `plan`.
     /// Subsequent calls replay the recorded sequence in flush-bounded
     /// chunks: timing through [`stramash_mem::MemorySystem::run_plan`]
-    /// over the dense fast-path mirrors, values element-major through
+    /// over the caches' packed tag arrays, values element-major through
     /// the untimed store, so any dependence pattern (including a write
     /// column also being a read column) stays value-exact.
     ///

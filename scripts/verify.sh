@@ -12,8 +12,10 @@ export CARGO_NET_OFFLINE=true
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+# Every package's tests: the integration suites under tests/ and each
+# crate's unit tests (cache model, checkpoint codec, config checks).
+echo "==> cargo test --workspace -q"
+cargo test --workspace -q
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -151,6 +151,24 @@ fn restore_rejects_corruption_and_kind_mismatch() {
     assert!(sys.restore(&artifact[..artifact.len() - 8]).is_err());
 }
 
+#[test]
+fn restore_rejects_a_version_1_artifact() {
+    use stramash_repro::sim::checkpoint::{crc32, CheckpointError, VERSION};
+    // Version 1 carried cache fast-path flags and per-set occupancy
+    // that version 2 dropped; such an artifact must be refused by
+    // version, even with a valid CRC, rather than misparsed.
+    let sys = TargetSystem::build(SystemKind::Stramash, HardwareModel::Shared).unwrap();
+    let mut artifact = sys.checkpoint();
+    assert_eq!(VERSION, 2);
+    assert_eq!(artifact[4..8], VERSION.to_le_bytes(), "the version follows the magic");
+    artifact[4..8].copy_from_slice(&1u32.to_le_bytes());
+    let body = artifact.len() - 4;
+    let crc = crc32(&artifact[..body]);
+    artifact[body..].copy_from_slice(&crc.to_le_bytes());
+    let mut fresh = TargetSystem::build(SystemKind::Stramash, HardwareModel::Shared).unwrap();
+    assert_eq!(fresh.restore(&artifact), Err(CheckpointError::BadVersion(1)));
+}
+
 fn crash_plan(domain: u8, at_tick: u64) -> stramash_repro::sim::FaultPlan {
     let mut p = stramash_repro::sim::FaultPlan::none();
     p.crash = Some((domain, at_tick));

@@ -3,16 +3,15 @@
 //! A fixed-seed NPB IS run plus a KV-store run, for all four
 //! [`SystemKind`]s, pinning the **exact** simulated runtime, per-level
 //! cache hit counters, memory-access counts and message totals. The
-//! simulator's host-side fast paths (set masking, MRU probe, last-line
-//! hit, streaming access) must never change simulated timing by even
-//! one cycle — any future hot-path change that drifts these numbers
-//! fails tier-1 here.
+//! simulator's host-side hot paths (packed-LRU probes, last-line hit,
+//! streaming access, plan replay) must never change simulated timing by
+//! even one cycle — any future hot-path change that drifts these
+//! numbers fails tier-1 here.
 //!
-//! The same workload is also run with `set_fast_paths(false)` (the
-//! reference slow paths) and with `set_batching(false)` (scalar
+//! The same workload is also run with `set_batching(false)` (scalar
 //! client ops instead of translation sessions + bulk cache access) and
-//! must produce a byte-identical fingerprint, proving the fast paths
-//! and the batched pipeline are interchangeable with the reference.
+//! must produce a byte-identical fingerprint, proving the batched
+//! pipeline is interchangeable with the scalar one.
 //!
 //! To regenerate the goldens after an *intentional* timing-model change:
 //! `cargo test --test golden_stats -- --ignored --nocapture print_goldens`
@@ -42,26 +41,20 @@ struct Fingerprint {
 }
 
 /// Runs the fixed workload on a fresh system and captures the stats.
-fn fingerprint(kind: SystemKind, fast_paths: bool, batching: bool) -> Fingerprint {
-    fingerprint_epochs(kind, fast_paths, batching, false)
+fn fingerprint(kind: SystemKind, batching: bool) -> Fingerprint {
+    fingerprint_epochs(kind, batching, false)
 }
 
 /// As [`fingerprint`], optionally forcing wide epoch-parallel replay
 /// (otherwise the policy is pinned off, regardless of the process
 /// environment).
-fn fingerprint_epochs(
-    kind: SystemKind,
-    fast_paths: bool,
-    batching: bool,
-    forced_wide_epochs: bool,
-) -> Fingerprint {
+fn fingerprint_epochs(kind: SystemKind, batching: bool, forced_wide_epochs: bool) -> Fingerprint {
     let mut sys = TargetSystem::build(kind, HardwareModel::Shared).unwrap();
     sys.base_mut().set_epoch_policy(if forced_wide_epochs {
         EpochPolicy { enabled: true, min_lane_entries: 64, wide: WideReplay::Force }
     } else {
         EpochPolicy::default()
     });
-    sys.base_mut().mem.set_fast_paths(fast_paths);
     sys.base_mut().set_batching(batching);
     let pid = sys.spawn(DomainId::X86).unwrap();
     let npb = run_npb(NpbKind::Is, &mut sys, pid, Class::Tiny, kind.migrates()).unwrap();
@@ -144,32 +137,20 @@ fn golden(kind: SystemKind) -> Fingerprint {
 #[test]
 fn simulated_timing_matches_recorded_goldens() {
     for kind in SystemKind::ALL {
-        let got = fingerprint(kind, true, true);
+        let got = fingerprint(kind, true);
         assert_eq!(got, golden(kind), "{kind}: simulated timing drifted from the golden record");
-    }
-}
-
-#[test]
-fn fast_paths_do_not_change_a_single_cycle() {
-    for kind in SystemKind::ALL {
-        let fast = fingerprint(kind, true, true);
-        let slow = fingerprint(kind, false, true);
-        assert_eq!(fast, slow, "{kind}: fast paths must be cycle-identical to the reference");
     }
 }
 
 #[test]
 fn batched_path_is_cycle_identical_to_scalar() {
     // The batched pipeline (translation sessions + bulk cache access +
-    // vectorized NPB loops) against scalar client ops, on fast and on
-    // reference memory paths: four host configurations, one simulated
-    // truth.
+    // vectorized NPB loops) against scalar client ops: two host
+    // configurations, one simulated truth.
     for kind in SystemKind::ALL {
-        let batched = fingerprint(kind, true, true);
-        let scalar = fingerprint(kind, true, false);
+        let batched = fingerprint(kind, true);
+        let scalar = fingerprint(kind, false);
         assert_eq!(batched, scalar, "{kind}: batching must be cycle-identical to scalar ops");
-        let scalar_ref = fingerprint(kind, false, false);
-        assert_eq!(batched, scalar_ref, "{kind}: batching must match the scalar reference path");
     }
 }
 
@@ -177,17 +158,11 @@ fn batched_path_is_cycle_identical_to_scalar() {
 fn plan_segments_under_forced_wide_epochs_match_goldens() {
     // The IS ranking loops now run as data-dependent plan segments
     // (`plan_map_indexed`); stacking forced-wide epoch replay on top of
-    // them — and on top of the reference memory paths — must still
-    // reproduce the exact golden record, cycle for cycle.
+    // them must still reproduce the exact golden record, cycle for
+    // cycle.
     for kind in SystemKind::ALL {
-        let wide = fingerprint_epochs(kind, true, true, true);
+        let wide = fingerprint_epochs(kind, true, true);
         assert_eq!(wide, golden(kind), "{kind}: forced-wide epochs drifted from the goldens");
-        let wide_slow = fingerprint_epochs(kind, false, true, true);
-        assert_eq!(
-            wide_slow,
-            golden(kind),
-            "{kind}: forced-wide epochs over reference paths drifted from the goldens"
-        );
     }
 }
 
@@ -239,7 +214,7 @@ fn serving_scenario_matches_recorded_goldens() {
 #[ignore = "golden regeneration helper, run manually"]
 fn print_goldens() {
     for kind in SystemKind::ALL {
-        let f = fingerprint(kind, true, true);
+        let f = fingerprint(kind, true);
         println!("SystemKind::{kind:?} => Fingerprint {{");
         println!("    runtime: {},", f.runtime);
         println!("    messages: {},", f.messages);

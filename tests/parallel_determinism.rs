@@ -186,8 +186,6 @@ enum Mode {
     Scalar,
     /// Data-dependent plan segments (the default pipeline).
     Batched,
-    /// Plan segments over the reference (fast-paths-off) memory model.
-    BatchedSlowMem,
     /// Plan segments under forced-wide epoch replay
     /// (`STRAMASH_EPOCH_PARALLEL=1`'s strongest setting).
     BatchedWideEpochs,
@@ -212,9 +210,6 @@ fn indexed_case(
     });
     if mode == Mode::Scalar {
         sys.base_mut().set_batching(false);
-    }
-    if mode == Mode::BatchedSlowMem {
-        sys.base_mut().mem.set_fast_paths(false);
     }
     let tracer = shared_tracer(RING_CAPACITY);
     sys.install_tracer(tracer.clone());
@@ -326,9 +321,8 @@ fn accounting_totals(events: &[TraceEvent]) -> ([u64; 2], [u64; 2]) {
 
 /// Property: for randomized key/index distributions, data-dependent
 /// plan segments are cycle- and trace-identical to the scalar
-/// per-access loop — with the tracer on, over the reference memory
-/// paths, and under forced-wide epoch replay. Seeds are fixed so any
-/// failure replays exactly.
+/// per-access loop — with the tracer on, and under forced-wide epoch
+/// replay. Seeds are fixed so any failure replays exactly.
 #[test]
 fn indexed_plan_segments_match_scalar_for_random_cases() {
     for kind in SystemKind::ALL {
@@ -362,16 +356,9 @@ fn indexed_plan_segments_match_scalar_for_random_cases() {
                 "{kind}/{seed:#x}: accounting totals drifted"
             );
 
-            // The remaining host modes keep the batched pipeline, so
-            // their full streams — accounting included — must be
-            // bit-identical to the batched run.
-            let (slow_fp, slow_ev) = indexed_case(kind, Mode::BatchedSlowMem, seed);
-            assert_eq!(batched_fp, slow_fp, "{kind}/{seed:#x}: reference paths drifted");
-            assert_streams_identical(
-                &batched_ev,
-                &slow_ev,
-                &format!("{kind}/{seed:#x}: fast vs reference paths"),
-            );
+            // Forced-wide epochs keep the batched pipeline, so the full
+            // stream — accounting included — must be bit-identical to
+            // the batched run.
             let (wide_fp, wide_ev) = indexed_case(kind, Mode::BatchedWideEpochs, seed);
             assert_eq!(batched_fp, wide_fp, "{kind}/{seed:#x}: forced-wide epochs drifted");
             assert_streams_identical(

@@ -8,13 +8,11 @@
 //!
 //! 1. Installing a tracer leaves the golden fingerprint untouched.
 //! 2. Two same-seed runs emit byte-identical event streams.
-//! 3. The host fast paths and the reference slow paths emit identical
-//!    streams — not just identical totals.
-//! 4. The batched pipeline and scalar client ops emit identical
+//! 3. The batched pipeline and scalar client ops emit identical
 //!    per-class subsequences for every [`EventClass`] except
 //!    `Accounting`, whose `Charge`/`Retire` events batching coalesces
 //!    (totals must still match exactly).
-//! 5. [`reconstruct_domain_stats`] rebuilds the end-of-run
+//! 4. [`reconstruct_domain_stats`] rebuilds the end-of-run
 //!    `DomainStats::report` blocks — including `Runtime` — from the
 //!    stream alone.
 
@@ -53,9 +51,8 @@ struct Traced {
 /// installed before `spawn` so the stream covers every `Charge` /
 /// `Retire` the clocks ever see — that is what makes the reconstructed
 /// runtime exact rather than approximate.
-fn run(kind: SystemKind, fast_paths: bool, batching: bool, traced: bool) -> (Fingerprint, Option<Traced>) {
+fn run(kind: SystemKind, batching: bool, traced: bool) -> (Fingerprint, Option<Traced>) {
     let mut sys = TargetSystem::build(kind, HardwareModel::Shared).unwrap();
-    sys.base_mut().mem.set_fast_paths(fast_paths);
     sys.base_mut().set_batching(batching);
     let tracer = traced.then(|| {
         let t = shared_tracer(RING_CAPACITY);
@@ -131,8 +128,8 @@ fn accounting_totals(events: &[TraceEvent]) -> ([u64; 2], [u64; 2]) {
 #[test]
 fn tracing_does_not_change_the_fingerprint() {
     for kind in SystemKind::ALL {
-        let (untraced, _) = run(kind, true, true, false);
-        let (traced, capture) = run(kind, true, true, true);
+        let (untraced, _) = run(kind, true, false);
+        let (traced, capture) = run(kind, true, true);
         assert_eq!(untraced, traced, "{kind}: installing a tracer changed simulated timing");
         assert!(!capture.unwrap().events.is_empty(), "{kind}: traced run recorded nothing");
     }
@@ -141,8 +138,8 @@ fn tracing_does_not_change_the_fingerprint() {
 #[test]
 fn same_seed_runs_emit_identical_streams() {
     for kind in SystemKind::ALL {
-        let (fa, a) = run(kind, true, true, true);
-        let (fb, b) = run(kind, true, true, true);
+        let (fa, a) = run(kind, true, true);
+        let (fb, b) = run(kind, true, true);
         assert_eq!(fa, fb, "{kind}: same-seed runs disagree on the fingerprint");
         assert_streams_identical(
             &a.unwrap().events,
@@ -153,24 +150,10 @@ fn same_seed_runs_emit_identical_streams() {
 }
 
 #[test]
-fn fast_and_slow_paths_emit_identical_streams() {
-    for kind in SystemKind::ALL {
-        let (ff, fast) = run(kind, true, true, true);
-        let (fs, slow) = run(kind, false, true, true);
-        assert_eq!(ff, fs, "{kind}: fast/slow paths disagree on the fingerprint");
-        assert_streams_identical(
-            &fast.unwrap().events,
-            &slow.unwrap().events,
-            &format!("{kind}: fast vs slow paths"),
-        );
-    }
-}
-
-#[test]
 fn batched_and_scalar_pipelines_agree_per_class() {
     for kind in SystemKind::ALL {
-        let (fb, batched) = run(kind, true, true, true);
-        let (fs, scalar) = run(kind, true, false, true);
+        let (fb, batched) = run(kind, true, true);
+        let (fs, scalar) = run(kind, false, true);
         assert_eq!(fb, fs, "{kind}: batched/scalar disagree on the fingerprint");
         let batched = batched.unwrap().events;
         let scalar = scalar.unwrap().events;
@@ -195,7 +178,7 @@ fn batched_and_scalar_pipelines_agree_per_class() {
 #[test]
 fn reconstructed_reports_match_the_live_system() {
     for kind in SystemKind::ALL {
-        let (_, capture) = run(kind, true, true, true);
+        let (_, capture) = run(kind, true, true);
         let capture = capture.unwrap();
         let rebuilt = reconstruct_domain_stats(&capture.events);
         for d in DomainId::ALL {
