@@ -9,7 +9,7 @@
 
 use stramash_kernel::system::{OsError, OsSystem, VanillaSystem};
 use stramash_mem::{MemorySystem, ReferenceSystem, TraceEntry};
-use stramash_sim::{Cycles, DomainId, EpochPolicy, SimConfig, WideReplay};
+use stramash_sim::{Cycles, DomainId, SimConfig};
 use stramash_workloads::npb::{run_npb, Class, NpbKind};
 
 /// Renders an aligned text table.
@@ -135,42 +135,6 @@ pub fn sweep_workers(items: usize) -> usize {
         .min(items)
 }
 
-/// Deterministic core-budget split for a nested sweep×epoch run: the
-/// outer level takes [`sweep_workers`]`(items)` host threads, and the
-/// inner level (each config's epoch-parallel boundary replay) may go
-/// wide only when every outer worker can own at least two host cores —
-/// so the two levels never oversubscribe the machine. The split is a
-/// pure function of `STRAMASH_SWEEP_WORKERS`, the host core count and
-/// the item count; it never affects simulated cycles.
-#[must_use]
-pub fn nested_split(items: usize) -> (usize, WideReplay) {
-    let workers = sweep_workers(items).max(1);
-    let wide =
-        if host_cores() / workers >= 2 { WideReplay::Force } else { WideReplay::Never };
-    (workers, wide)
-}
-
-/// Runs `f` over `items` with both parallelism levels active: configs
-/// fan out across the sweep pool ([`parallel_map`]) while each call
-/// receives the inner [`EpochPolicy`] from [`nested_split`]'s budget —
-/// epochs enabled, wide replay only on the spare cores. Returns the
-/// results plus the split that ran, for reporting.
-///
-/// # Panics
-///
-/// Propagates a panic from any worker.
-pub fn parallel_map_nested<T, R, F>(items: Vec<T>, f: F) -> (Vec<R>, usize, WideReplay)
-where
-    T: Send,
-    R: Send,
-    F: Fn(T, EpochPolicy) -> R + Sync,
-{
-    let (workers, wide) = nested_split(items.len());
-    let inner =
-        EpochPolicy { enabled: true, min_lane_entries: EpochPolicy::DEFAULT_MIN_LANE, wide };
-    (parallel_map(items, |t| f(t, inner)), workers, wide)
-}
-
 /// Runs `f` over `items` on scoped worker threads and returns the
 /// results in input order.
 ///
@@ -273,33 +237,6 @@ mod tests {
             assert_eq!(s.messages, p.messages);
             assert_eq!(s.remote_hits, p.remote_hits);
         }
-    }
-
-    #[test]
-    fn nested_split_never_oversubscribes() {
-        // The core-budget invariant: wide inner replay (2 lanes per
-        // worker) is only granted when the outer pool leaves every
-        // worker at least two host cores — so outer × inner threads
-        // never exceed the machine.
-        for items in [1usize, 2, 8, 64] {
-            let (w, wide) = nested_split(items);
-            assert!(w >= 1 && w <= items.max(1));
-            assert_eq!(wide == WideReplay::Force, host_cores() / w >= 2);
-            if wide == WideReplay::Force {
-                assert!(w * 2 <= host_cores());
-            }
-        }
-    }
-
-    #[test]
-    fn nested_map_hands_each_item_an_enabled_pinned_policy() {
-        let (out, workers, wide) = parallel_map_nested((0..6u64).collect::<Vec<_>>(), |i, p| {
-            assert!(p.enabled, "inner epochs must be enabled");
-            assert_ne!(p.wide, WideReplay::Auto, "the split must pin the wide decision");
-            i * 3
-        });
-        assert_eq!(out, (0..6u64).map(|i| i * 3).collect::<Vec<_>>());
-        assert_eq!((workers, wide), nested_split(6));
     }
 
     #[test]

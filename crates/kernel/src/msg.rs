@@ -525,7 +525,7 @@ impl MessagingLayer {
 
     /// Total undelivered wire bytes across both rings. Non-zero means a
     /// receiver may act on a message at its next poll — a cross-domain
-    /// coupling that blocks the deferred-epoch horizon.
+    /// coupling that blocks the cross-domain horizon.
     #[must_use]
     pub fn outstanding_total(&self) -> u64 {
         self.outstanding[0] + self.outstanding[1]

@@ -35,8 +35,7 @@ use stramash_sim::trace::{
     FutexOp, TraceEvent, CTR_WATCHDOG_DEATHS, HIST_FAULT_SERVICE, HIST_MSG_ROUND_TRIP,
 };
 use stramash_sim::{
-    Cycles, DomainId, EpochHorizon, EpochPolicy, EpochReport, SharedFaultInjector, SharedTracer,
-    SimConfig, Timebase,
+    Cycles, DomainId, EpochHorizon, SharedFaultInjector, SharedTracer, SimConfig, Timebase,
 };
 
 /// Trap entry/exit plus generic fault-path bookkeeping, charged for
@@ -213,9 +212,6 @@ pub struct BaseSystem {
     ip: u64,
     /// Domain-failure detector (inert until armed).
     watchdog: Watchdog,
-    /// Deferred-epoch policy. Host-side tuning only — it can never
-    /// change simulated cycles — so it is not checkpointed.
-    epoch_policy: EpochPolicy,
 }
 
 impl BaseSystem {
@@ -256,7 +252,6 @@ impl BaseSystem {
             ifetch_interval: 64,
             ip: 0,
             watchdog: Watchdog::new(),
-            epoch_policy: EpochPolicy::from_env(),
         })
     }
 
@@ -377,19 +372,7 @@ impl BaseSystem {
     }
 
     /// Charges `cycles` of kernel/memory overhead to `domain`'s clock.
-    ///
-    /// Inside a deferred epoch a zero charge is a *mark*: accesses
-    /// issued under the epoch returned zero and their real cost is
-    /// re-attached to the next mark at replay, credited to the clock at
-    /// the epoch boundary. A non-zero charge is credited immediately
-    /// (only its trace position is deferred), so the clock never lags
-    /// by more than the accesses since the last mark.
     pub fn charge(&mut self, domain: DomainId, cycles: Cycles) {
-        if self.mem.epoch_active() {
-            self.timebase.clock_mut(domain).add_memory(cycles);
-            self.mem.epoch_note_charge(domain, cycles);
-            return;
-        }
         self.timebase.clock_mut(domain).add_memory(cycles);
         if cycles.raw() != 0 {
             self.emit(TraceEvent::Charge { domain, cost: cycles });
@@ -400,11 +383,7 @@ impl BaseSystem {
     /// instruction fetches over a small code working set.
     pub fn retire(&mut self, domain: DomainId, insns: u64) {
         if insns != 0 {
-            if self.mem.epoch_active() {
-                self.mem.epoch_note_retire(domain, insns);
-            } else {
-                self.emit(TraceEvent::Retire { domain, insns });
-            }
+            self.emit(TraceEvent::Retire { domain, insns });
         }
         self.timebase.clock_mut(domain).retire(insns);
         self.mem.stats_mut(domain).instructions += insns;
@@ -451,10 +430,6 @@ impl BaseSystem {
 
     /// Records a perf marker for a migration between domains.
     pub fn record_migration(&mut self, from: DomainId, to: DomainId) {
-        debug_assert!(
-            !self.mem.epoch_active(),
-            "migration is a cross-domain event; suspend or close the epoch first"
-        );
         let label = format!("migrate {from}->{to}");
         self.perf.sample(label, &self.timebase);
         self.emit(TraceEvent::Migration { from, to });
@@ -474,68 +449,6 @@ impl BaseSystem {
     #[must_use]
     pub fn total_runtime(&self) -> Cycles {
         self.timebase.total_runtime()
-    }
-
-    // ---- deferred-epoch plumbing ------------------------------------------
-
-    /// The deferred-epoch policy in force.
-    #[must_use]
-    pub fn epoch_policy(&self) -> EpochPolicy {
-        self.epoch_policy
-    }
-
-    /// Overrides the deferred-epoch policy (tests and the CLI
-    /// `--parallel` flag; the boot default comes from
-    /// [`EpochPolicy::from_env`]).
-    pub fn set_epoch_policy(&mut self, policy: EpochPolicy) {
-        self.epoch_policy = policy;
-    }
-
-    /// Opens (or nests into) a deferred epoch, unconditionally. Most
-    /// callers want [`OsSystem::epoch_open`], which checks the policy
-    /// and the cross-domain horizon first.
-    pub fn epoch_enter(&mut self) {
-        self.mem
-            .epoch_enter(self.epoch_policy.min_lane_entries, self.epoch_policy.wide.allows());
-    }
-
-    /// Closes one epoch level; the outermost close replays the log and
-    /// credits the deferred cycles to the domain clocks.
-    pub fn epoch_exit(&mut self) -> EpochReport {
-        let out = self.mem.epoch_exit();
-        self.apply_epoch_credit(out.credit);
-        out.report
-    }
-
-    /// Flushes and deactivates an open epoch so kernel work that emits
-    /// events or crosses domains (page-table walks, fault handlers,
-    /// messages, shootdowns) runs live. Returns whether an epoch was
-    /// actually suspended — pass that to [`BaseSystem::epoch_resume`].
-    pub fn epoch_suspend(&mut self) -> bool {
-        match self.mem.epoch_suspend() {
-            Some(out) => {
-                self.apply_epoch_credit(out.credit);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Reactivates deferral after [`BaseSystem::epoch_suspend`] (no-op
-    /// when `suspended` is false).
-    pub fn epoch_resume(&mut self, suspended: bool) {
-        if suspended {
-            self.mem.epoch_resume();
-        }
-    }
-
-    fn apply_epoch_credit(&mut self, credit: [Cycles; 2]) {
-        for d in DomainId::ALL {
-            let c = credit[d.index()];
-            if c.raw() != 0 {
-                self.timebase.clock_mut(d).add_memory(c);
-            }
-        }
     }
 
     /// The machine-level cross-domain horizon: undelivered message
@@ -845,32 +758,6 @@ pub trait OsSystem {
         self.base().cross_domain_horizon()
     }
 
-    /// Opens a deferred epoch for a private batch phase — if the policy
-    /// enables them, the wide replay is possible on this host, and no
-    /// cross-domain channel blocks the horizon. Deferral only ever pays
-    /// off through the two-thread boundary replay, so a host where the
-    /// policy's [`stramash_sim::WideReplay`] resolves to "never spawn"
-    /// (e.g. `Auto` on a single core) skips epochs entirely rather
-    /// than paying the log-and-replay overhead for nothing.
-    /// Returns whether an epoch opened; call [`OsSystem::epoch_close`]
-    /// iff it did.
-    fn epoch_open(&mut self) -> bool {
-        let policy = self.base().epoch_policy();
-        if !policy.enabled || !policy.wide.allows() {
-            return false;
-        }
-        if !self.epoch_horizon().is_clear() {
-            return false;
-        }
-        self.base_mut().epoch_enter();
-        true
-    }
-
-    /// Closes an epoch opened by [`OsSystem::epoch_open`].
-    fn epoch_close(&mut self) -> EpochReport {
-        self.base_mut().epoch_exit()
-    }
-
     /// Reserves anonymous VA space.
     ///
     /// # Errors
@@ -891,21 +778,6 @@ pub trait OsSystem {
     ///
     /// [`OsError::Segfault`] if no VMA starts at `start`.
     fn mprotect(&mut self, pid: Pid, start: VirtAddr, prot: VmaProt) -> Result<Cycles, OsError> {
-        // A protection change is a TLB shootdown: it must run live (and
-        // flush any deferred work first) so the generation bump and the
-        // invalidate events are ordered before everything that follows
-        // — a peer's cached `AccessSession` revalidates against the
-        // post-shootdown generation, never a stale one.
-        let suspended = self.base_mut().epoch_suspend();
-        let res = self.mprotect_inner(pid, start, prot);
-        self.base_mut().epoch_resume(suspended);
-        res
-    }
-
-    /// The body of [`OsSystem::mprotect`]; runs with any deferred epoch
-    /// suspended.
-    #[doc(hidden)]
-    fn mprotect_inner(&mut self, pid: Pid, start: VirtAddr, prot: VmaProt) -> Result<Cycles, OsError> {
         let (domain, vma) = {
             let proc = self.base_mut().process_mut(pid)?;
             let domain = proc.current;
@@ -972,26 +844,6 @@ pub trait OsSystem {
             return Ok((page_pa.offset(va.page_offset()), Cycles::ZERO));
         }
         self.base_mut().mem.note_tlb_miss(domain);
-        // The miss path walks page tables and may run a fault handler
-        // that allocates, messages the peer, or shoots down TLBs — all
-        // of which emit events directly and may couple the domains.
-        // Suspend any deferred epoch so it runs live, in order.
-        let suspended = self.base_mut().epoch_suspend();
-        let res = self.translate_miss(pid, va, write, domain);
-        self.base_mut().epoch_resume(suspended);
-        res
-    }
-
-    /// The miss path of [`OsSystem::translate`]; runs with any deferred
-    /// epoch suspended.
-    #[doc(hidden)]
-    fn translate_miss(
-        &mut self,
-        pid: Pid,
-        va: VirtAddr,
-        write: bool,
-        domain: DomainId,
-    ) -> Result<(PhysAddr, Cycles), OsError> {
         let mut total = Cycles::ZERO;
         for attempt in 0..2 {
             let pt = {

@@ -206,22 +206,6 @@ fn classify_sweep<const N: usize>(tags: &[u64], set_mask: u64, lines: &[u64]) ->
     mask
 }
 
-/// Moves `way` to the LRU (rank `ways-1`) nibble — used when a way is
-/// invalidated, so the emptied way is the next one refilled.
-#[inline]
-fn perm_demote(perm: u64, way: usize, ways: u32) -> u64 {
-    let way64 = way as u64;
-    let last = ways - 1;
-    if perm_way_at(perm, last) == way {
-        return perm;
-    }
-    let idx = perm_find(perm, way64);
-    let below = perm & ((1u64 << idx) - 1);
-    let shifted = (perm >> idx >> 4) << idx;
-    let res = below | shifted;
-    (res & !(0xFu64 << (4 * last))) | (way64 << (4 * last))
-}
-
 /// Result of inserting a line into a level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Eviction {
@@ -637,9 +621,10 @@ impl Cache {
         let i = self.tags[range].iter().position(|&t| t == line)?;
         let slot = base + i;
         self.tags[slot] = EMPTY;
-        let set = base / self.geo.ways as usize;
-        self.perms[set] = perm_demote(self.perms[set], i, self.geo.ways);
-        self.occ[set] -= 1;
+        // The LRU order is left alone: a fill takes the first empty
+        // way by position and promotes it to MRU, so an empty way's
+        // rank never picks a victim.
+        self.occ[base / self.geo.ways as usize] -= 1;
         Some(self.states[slot])
     }
 

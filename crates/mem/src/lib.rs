@@ -40,14 +40,12 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-mod epoch;
 pub mod hwmodel;
 pub mod phys;
 pub mod reference;
 pub mod system;
 
 pub use cache::{Cache, CacheHierarchy, Mesi};
-pub use epoch::EpochFlushOutcome;
 pub use hwmodel::{AddressMap, MemClass};
 pub use phys::{MemRegion, PhysAddr, PhysLayout, RegionKind, SparseMemory};
 pub use reference::ReferenceSystem;

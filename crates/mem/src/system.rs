@@ -9,15 +9,11 @@
 //! appropriate MESI transition and CXL snoop overhead are applied.
 
 use crate::cache::{Cache, CacheHierarchy, FillPlan, Mesi, ProbeFill};
-use crate::epoch::{EpochEntry, EpochFlushOutcome, EpochState, SnoopWindow};
 use crate::hwmodel::{AddressMap, MemClass};
 use crate::phys::{PhysAddr, PhysLayout, SparseMemory};
 use stramash_sim::config::ConfigError;
-use stramash_sim::epoch::EpochReport;
 use stramash_sim::trace::{TraceEvent, TraceLevel, TraceMemClass, TraceMesi};
-use stramash_sim::{
-    Cycles, DomainId, DomainStats, HardwareModel, LatencyTable, SharedTracer, SimConfig,
-};
+use stramash_sim::{Cycles, DomainId, DomainStats, HardwareModel, SharedTracer, SimConfig};
 
 /// Maps a [`HitLevel`] to its trace-event counterpart.
 fn trace_level(level: HitLevel) -> TraceLevel {
@@ -158,11 +154,6 @@ pub struct MemorySystem {
     /// passive — it never costs a simulated cycle, so the golden
     /// fingerprints are identical with tracing on or off.
     tracer: Option<SharedTracer>,
-    /// Deferred-epoch state: while an epoch is open, timed accesses are
-    /// logged instead of executed and replayed bit-identically at the
-    /// boundary (possibly on two host threads). Host-side only — never
-    /// checkpointed.
-    epoch: EpochState,
 }
 
 /// One per-domain physical alias: `domain` sees
@@ -219,7 +210,6 @@ impl MemorySystem {
             aliases: Vec::new(),
             ecc_journal: Vec::new(),
             tracer: None,
-            epoch: EpochState::default(),
         })
     }
 
@@ -289,12 +279,6 @@ impl MemorySystem {
     /// pipeline counts a whole page run at once; the trace still carries
     /// one event per lookup so batched and scalar streams agree).
     pub fn note_tlb_hits(&mut self, domain: DomainId, n: u64) {
-        if self.epoch.active {
-            if n != 0 {
-                self.epoch_push(EpochEntry::TlbHits { domain, n });
-            }
-            return;
-        }
         self.stats[domain.index()].tlb_hits += n;
         if let Some(t) = &self.tracer {
             let mut t = t.borrow_mut();
@@ -307,10 +291,6 @@ impl MemorySystem {
     /// Records one software-TLB miss for `domain`.
     #[inline]
     pub fn note_tlb_miss(&mut self, domain: DomainId) {
-        if self.epoch.active {
-            self.epoch_push(EpochEntry::TlbMiss { domain });
-            return;
-        }
         self.stats[domain.index()].tlb_misses += 1;
         self.emit(TraceEvent::TlbLookup { domain, hit: false });
     }
@@ -330,10 +310,6 @@ impl MemorySystem {
         }
         if let Some(l3) = &mut self.shared_l3 {
             l3.flush();
-        }
-        // Empty caches cannot be snooped: the windows restart clean.
-        for w in &mut self.epoch.windows {
-            w.clear();
         }
     }
 
@@ -525,20 +501,6 @@ impl MemorySystem {
         access: Access,
         kind: AccessKind,
     ) -> AccessOutcome {
-        if self.epoch.active {
-            // Deferred: log the access and return a placeholder. The
-            // real outcome is produced at the epoch flush; callers by
-            // contract charge the returned (zero) cycles immediately,
-            // and the flush re-attaches the accumulated cost to their
-            // charge mark.
-            self.epoch_defer_access(domain, addr, access, kind, 1);
-            return AccessOutcome {
-                cycles: Cycles::ZERO,
-                level: HitLevel::L1,
-                class: None,
-                snooped: false,
-            };
-        }
         let out = self.access_line_inner(domain, addr, access, kind);
         if self.tracer.is_some() {
             // Sub-events (snoops, evictions, MESI transitions) were
@@ -695,16 +657,10 @@ impl MemorySystem {
             self.emit(TraceEvent::Snoop { domain, addr: line_addr, invalidate: true });
         }
 
-        // Fill the LLC, handling inclusive evictions. Private fills
-        // also grow the domain's conservative snoop window (the epoch
-        // scheduler's "may the peer hold this line?" oracle; windows
-        // never shrink on eviction, which keeps them sound).
+        // Fill the LLC, handling inclusive evictions.
         let eviction = match &mut self.shared_l3 {
             Some(l3) => l3.insert(line, new_state),
-            None => {
-                self.epoch.windows[di].note(line);
-                self.hierarchies[di].l3.insert(line, new_state)
-            }
+            None => self.hierarchies[di].l3.insert(line, new_state),
         };
         // The fill itself is an Invalid → new-state transition at the
         // coherence point (the line just missed the LLC probe).
@@ -982,10 +938,6 @@ impl MemorySystem {
         if count == 0 {
             return Cycles::ZERO;
         }
-        if self.epoch.active {
-            self.epoch_defer_access(domain, line_addr, access, kind, count);
-            return Cycles::ZERO;
-        }
         let cycles = self.access_line(domain, line_addr, access, kind).cycles;
         let n = count - 1;
         if n == 0 {
@@ -1113,291 +1065,6 @@ impl MemorySystem {
         cycles
     }
 
-    // ---- deferred-epoch execution ------------------------------------------
-    //
-    // While an epoch is open, the timed access paths append to a log
-    // instead of running; the boundary replays the log bit-identically
-    // — serially in exact issue order, or on two host threads when the
-    // snoop windows prove the domains' footprints cannot interact.
-
-    /// Opens (or nests into) a deferred epoch. `min_lane` is the
-    /// per-lane entry count below which a flush replays serially;
-    /// `allow_wide` gates the two-thread replay entirely (the caller
-    /// resolves its [`stramash_sim::WideReplay`] policy against the
-    /// host core count — on a single core the spawn + barrier per
-    /// flush is pure overhead).
-    pub fn epoch_enter(&mut self, min_lane: usize, allow_wide: bool) {
-        self.epoch.nest += 1;
-        if self.epoch.nest == 1 {
-            debug_assert!(!self.epoch.active && self.epoch.log.is_empty());
-            self.epoch.min_lane = min_lane.max(1);
-            self.epoch.allow_wide = allow_wide;
-            self.epoch.carry = [Cycles::ZERO; 2];
-            self.epoch.pending_credit = [Cycles::ZERO; 2];
-            self.epoch.tally = EpochReport::default();
-            self.epoch.active = true;
-        }
-    }
-
-    /// Closes one nesting level; the outermost close flushes the log
-    /// and returns the tally plus the clock credit the kernel must
-    /// apply. Inner closes are no-ops.
-    pub fn epoch_exit(&mut self) -> EpochFlushOutcome {
-        debug_assert!(self.epoch.nest > 0, "epoch_exit without matching enter");
-        if self.epoch.nest == 0 {
-            return EpochFlushOutcome::default();
-        }
-        self.epoch.nest -= 1;
-        if self.epoch.nest > 0 {
-            return EpochFlushOutcome::default();
-        }
-        self.epoch_flush_now(false);
-        debug_assert!(
-            self.epoch.carry[0].raw() == 0 && self.epoch.carry[1].raw() == 0,
-            "deferred access cycles left uncharged at epoch exit"
-        );
-        self.epoch.carry = [Cycles::ZERO; 2];
-        let credit = self.epoch.pending_credit;
-        self.epoch.pending_credit = [Cycles::ZERO; 2];
-        let report = self.epoch.tally;
-        self.epoch.tally = EpochReport::default();
-        EpochFlushOutcome { report, credit }
-    }
-
-    /// Flushes and deactivates an open epoch without closing it (for
-    /// mid-epoch operations that must run live, e.g. a page-table walk
-    /// whose fault handler sends messages). Returns the clock credit to
-    /// apply now; [`MemorySystem::epoch_resume`] reactivates deferral.
-    /// Returns `None` when no epoch is active.
-    pub fn epoch_suspend(&mut self) -> Option<EpochFlushOutcome> {
-        if !self.epoch.active {
-            return None;
-        }
-        self.epoch_flush_now(false);
-        let credit = self.epoch.pending_credit;
-        self.epoch.pending_credit = [Cycles::ZERO; 2];
-        Some(EpochFlushOutcome { report: EpochReport::default(), credit })
-    }
-
-    /// Reactivates deferral after [`MemorySystem::epoch_suspend`].
-    pub fn epoch_resume(&mut self) {
-        if self.epoch.nest > 0 {
-            self.epoch.active = true;
-        }
-    }
-
-    /// Whether accesses are currently being deferred.
-    #[must_use]
-    #[inline]
-    pub fn epoch_active(&self) -> bool {
-        self.epoch.active
-    }
-
-    /// Defers a charge observed while an epoch is active: a zero
-    /// charge is a mark that re-attaches the accumulated deferred
-    /// access cycles; a non-zero charge (already credited to the clock
-    /// by the caller) only defers its event position.
-    pub fn epoch_note_charge(&mut self, domain: DomainId, cost: Cycles) {
-        debug_assert!(self.epoch.active);
-        if cost.raw() == 0 {
-            self.epoch_push(EpochEntry::ChargeAcc { domain });
-        } else {
-            self.epoch_push(EpochEntry::ChargeNow { domain, cost });
-        }
-    }
-
-    /// Defers a retire event (clock and instruction counters were
-    /// already updated at issue; only the trace position is deferred).
-    pub fn epoch_note_retire(&mut self, domain: DomainId, insns: u64) {
-        debug_assert!(self.epoch.active);
-        self.epoch_push(EpochEntry::Retire { domain, insns });
-    }
-
-    /// Log-size cap: past this the epoch flushes in place (staying
-    /// open), bounding host memory and pipelining the replay.
-    const EPOCH_LOG_CAP: usize = 1 << 20;
-
-    #[inline]
-    fn epoch_push(&mut self, entry: EpochEntry) {
-        self.epoch.log.push(entry);
-        if self.epoch.log.len() >= Self::EPOCH_LOG_CAP {
-            self.epoch_flush_now(true);
-        }
-    }
-
-    #[inline]
-    fn epoch_defer_access(
-        &mut self,
-        domain: DomainId,
-        addr: PhysAddr,
-        access: Access,
-        kind: AccessKind,
-        count: u64,
-    ) {
-        let line = addr.raw() >> self.line_shift;
-        self.epoch.ranges[domain.index()].note(line);
-        self.epoch_push(EpochEntry::Access { domain, addr: addr.raw(), access, kind, count });
-    }
-
-    /// Replays and clears the log. Deferral is off on return;
-    /// `reactivate` turns it back on (intra-epoch cap flushes).
-    fn epoch_flush_now(&mut self, reactivate: bool) {
-        self.epoch.active = false;
-        if !self.epoch.log.is_empty() {
-            let mut lanes = [0usize; 2];
-            for e in &self.epoch.log {
-                lanes[e.domain().index()] += 1;
-            }
-            // The parallel lane executor elides every peer-coherence
-            // branch, which is only sound when (a) each lane's touched
-            // lines avoid both the peer's epoch and the peer's
-            // conservative LLC window, and (b) no cross-lane host
-            // state is shared (debug trace off, no shared LLC, no
-            // aliases).
-            let parallel = self.epoch.allow_wide
-                && lanes[0] >= self.epoch.min_lane
-                && lanes[1] >= self.epoch.min_lane
-                && self.shared_l3.is_none()
-                && self.aliases.is_empty()
-                && self.trace.is_none()
-                && self.epoch.ranges[0].disjoint(&self.epoch.ranges[1])
-                && self.epoch.ranges[0].disjoint(&self.epoch.windows[1])
-                && self.epoch.ranges[1].disjoint(&self.epoch.windows[0]);
-            if parallel {
-                self.epoch_replay_parallel();
-            } else {
-                self.epoch_replay_serial();
-            }
-            self.epoch.tally.absorb(EpochReport {
-                entries: lanes[0] + lanes[1],
-                lanes,
-                parallel,
-            });
-            self.epoch.ranges[0].clear();
-            self.epoch.ranges[1].clear();
-        }
-        if reactivate {
-            self.epoch.active = true;
-        }
-    }
-
-    /// Serial replay: exact issue order through the normal pipeline.
-    fn epoch_replay_serial(&mut self) {
-        let log = std::mem::take(&mut self.epoch.log);
-        let mut acc = self.epoch.carry;
-        for entry in &log {
-            match *entry {
-                EpochEntry::Access { domain, addr, access, kind, count } => {
-                    acc[domain.index()] +=
-                        self.access_line_run(domain, PhysAddr::new(addr), access, kind, count);
-                }
-                EpochEntry::TlbHits { domain, n } => self.note_tlb_hits(domain, n),
-                EpochEntry::TlbMiss { domain } => self.note_tlb_miss(domain),
-                EpochEntry::Retire { domain, insns } => {
-                    self.emit(TraceEvent::Retire { domain, insns });
-                }
-                EpochEntry::ChargeAcc { domain } => {
-                    let di = domain.index();
-                    if acc[di].raw() != 0 {
-                        self.emit(TraceEvent::Charge { domain, cost: acc[di] });
-                        self.epoch.pending_credit[di] += acc[di];
-                        acc[di] = Cycles::ZERO;
-                    }
-                }
-                EpochEntry::ChargeNow { domain, cost } => {
-                    self.emit(TraceEvent::Charge { domain, cost });
-                }
-            }
-        }
-        self.epoch.carry = acc;
-        self.epoch.log = log;
-        self.epoch.log.clear();
-    }
-
-    /// Parallel replay: one host thread per domain lane. Events carry
-    /// their global log sequence number and are merged back into the
-    /// tracer in issue order, so the stream is identical to the serial
-    /// replay's.
-    fn epoch_replay_parallel(&mut self) {
-        let mut l0: Vec<(u32, EpochEntry)> = Vec::new();
-        let mut l1: Vec<(u32, EpochEntry)> = Vec::new();
-        for (i, e) in self.epoch.log.iter().enumerate() {
-            if e.domain() == DomainId::X86 {
-                l0.push((i as u32, *e));
-            } else {
-                l1.push((i as u32, *e));
-            }
-        }
-        let lat0 = self.cfg.domains[0].latency;
-        let lat1 = self.cfg.domains[1].latency;
-        let back_inv = self.cfg.cxl.back_invalidate as u64;
-        let trace_on = self.tracer.is_some();
-        let carry = self.epoch.carry;
-        let line_shift = self.line_shift;
-        let (r0, r1) = {
-            let map = &self.map;
-            let [h0, h1] = &mut self.hierarchies;
-            let [s0, s1] = &mut self.stats;
-            let [wb0, wb1] = &mut self.writebacks;
-            let [w0, w1] = &mut self.epoch.windows;
-            let c0 = LaneCtx {
-                domain: DomainId::X86,
-                hier: h0,
-                stats: s0,
-                writebacks: wb0,
-                window: w0,
-                lat: lat0,
-                back_invalidate: back_inv,
-                map,
-                line_shift,
-                trace_on,
-            };
-            let c1 = LaneCtx {
-                domain: DomainId::ARM,
-                hier: h1,
-                stats: s1,
-                writebacks: wb1,
-                window: w1,
-                lat: lat1,
-                back_invalidate: back_inv,
-                map,
-                line_shift,
-                trace_on,
-            };
-            std::thread::scope(|sc| {
-                let t0 = sc.spawn(move || lane_replay(c0, &l0, carry[0]));
-                let r1 = lane_replay(c1, &l1, carry[1]);
-                (t0.join().expect("epoch lane panicked"), r1)
-            })
-        };
-        self.epoch.carry = [r0.carry, r1.carry];
-        self.epoch.pending_credit[0] += r0.credit;
-        self.epoch.pending_credit[1] += r1.credit;
-        if trace_on {
-            if let Some(t) = &self.tracer {
-                let mut t = t.borrow_mut();
-                let (a, b) = (&r0.events, &r1.events);
-                let (mut i, mut j) = (0, 0);
-                while i < a.len() && j < b.len() {
-                    if a[i].0 < b[j].0 {
-                        t.record(a[i].1);
-                        i += 1;
-                    } else {
-                        t.record(b[j].1);
-                        j += 1;
-                    }
-                }
-                for &(_, e) in &a[i..] {
-                    t.record(e);
-                }
-                for &(_, e) in &b[j..] {
-                    t.record(e);
-                }
-            }
-        }
-        self.epoch.log.clear();
-    }
-
     // ---- compiled access plans ---------------------------------------------
 
     /// Replays the plan's ops in `range` as timed data accesses. Cycle-, stat-
@@ -1417,20 +1084,6 @@ impl MemorySystem {
         let start = range.start;
         let addrs = &plan.addrs[range];
         let mask = !(self.line_bytes - 1);
-        if self.epoch.active {
-            for (i, &addr) in addrs.iter().enumerate() {
-                let access =
-                    if plan.write_at(start + i) { Access::Write } else { Access::Read };
-                self.epoch_defer_access(
-                    domain,
-                    PhysAddr::new(addr & mask),
-                    access,
-                    AccessKind::Data,
-                    1,
-                );
-            }
-            return Cycles::ZERO;
-        }
         if self.tracer.is_some() || self.trace.is_some() || self.shared_l3.is_some() {
             let mut cycles = Cycles::ZERO;
             for (i, &addr) in addrs.iter().enumerate() {
@@ -1442,7 +1095,7 @@ impl MemorySystem {
             }
             return cycles;
         }
-        // Dense fast path, lane-parallel (DESIGN.md §11.6): classify
+        // Dense fast path, lane-parallel (DESIGN.md §11.2): classify
         // up to `PLAN_LANES` ops at once against the L1D's packed tag
         // array — a pure sweep with no LRU, hint, or stat side
         // effects — then commit the leading all-hit run with the
@@ -1531,10 +1184,6 @@ impl MemorySystem {
     /// address map, latencies) is never written; the debug access trace
     /// and the tracer handle are host-side and excluded.
     pub fn save_state(&self, e: &mut stramash_sim::checkpoint::Encoder) {
-        assert!(
-            !self.epoch.active && self.epoch.log.is_empty(),
-            "checkpoint taken inside an open epoch"
-        );
         e.tag(0x4d_454d53); // "MEMS"
         for h in &self.hierarchies {
             h.save_state(e);
@@ -1620,22 +1269,6 @@ impl MemorySystem {
                 mask: d.u64()?,
                 double: d.bool()?,
             });
-        }
-        // Epoch state is host-side and restarts clean; the snoop
-        // windows are rebuilt from the restored (inclusive) LLCs so the
-        // conservative footprint matches the resumed cache contents.
-        assert!(
-            !self.epoch.active && self.epoch.log.is_empty(),
-            "restore inside an open epoch"
-        );
-        for di in 0..2 {
-            let w = &mut self.epoch.windows[di];
-            w.clear();
-            if self.shared_l3.is_none() {
-                for (line, _) in self.hierarchies[di].l3.lines() {
-                    w.note(line);
-                }
-            }
         }
         Ok(())
     }
@@ -1755,321 +1388,6 @@ impl AccessPlan {
             .iter()
             .enumerate()
             .map(|(i, &addr)| PlanOp { addr, write: self.write_at(i) })
-    }
-}
-
-// ---- parallel-lane replay ---------------------------------------------------
-//
-// The lane executor is the serial access pipeline specialised for the
-// case the parallel precheck proves: private LLCs, no aliases, no debug
-// trace, and no logged line resident in (or enterable into) the peer's
-// hierarchy. Every peer-coherence branch of the serial code is then
-// dead, and what remains touches only the lane's own borrows below.
-
-/// Everything one replay lane may touch. Two `LaneCtx`s over the same
-/// `MemorySystem` borrow disjoint state, which is what lets the two
-/// lanes run on separate host threads.
-struct LaneCtx<'a> {
-    domain: DomainId,
-    hier: &'a mut CacheHierarchy,
-    stats: &'a mut DomainStats,
-    writebacks: &'a mut u64,
-    window: &'a mut SnoopWindow,
-    lat: LatencyTable,
-    /// `cxl.back_invalidate` cost for inclusive-eviction back-invalidates.
-    back_invalidate: u64,
-    map: &'a AddressMap,
-    line_shift: u32,
-    trace_on: bool,
-}
-
-/// What a lane hands back: clock credit released by charge marks, the
-/// still-unattached access cycles, and the lane's trace events tagged
-/// with their global log sequence for the in-order merge.
-struct LaneResult {
-    credit: Cycles,
-    carry: Cycles,
-    events: Vec<(u32, TraceEvent)>,
-}
-
-/// Replays one domain's slice of the epoch log.
-fn lane_replay(mut cx: LaneCtx<'_>, log: &[(u32, EpochEntry)], carry_in: Cycles) -> LaneResult {
-    let mut out = LaneResult { credit: Cycles::ZERO, carry: carry_in, events: Vec::new() };
-    for &(seq, entry) in log {
-        match entry {
-            EpochEntry::Access { addr, access, kind, count, .. } => {
-                out.carry += lane_access(&mut cx, seq, addr, access, kind, count, &mut out.events);
-            }
-            EpochEntry::TlbHits { n, .. } => {
-                cx.stats.tlb_hits += n;
-                if cx.trace_on {
-                    for _ in 0..n {
-                        out.events
-                            .push((seq, TraceEvent::TlbLookup { domain: cx.domain, hit: true }));
-                    }
-                }
-            }
-            EpochEntry::TlbMiss { .. } => {
-                cx.stats.tlb_misses += 1;
-                if cx.trace_on {
-                    out.events.push((seq, TraceEvent::TlbLookup { domain: cx.domain, hit: false }));
-                }
-            }
-            EpochEntry::Retire { insns, .. } => {
-                if cx.trace_on {
-                    out.events.push((seq, TraceEvent::Retire { domain: cx.domain, insns }));
-                }
-            }
-            EpochEntry::ChargeAcc { .. } => {
-                if out.carry.raw() != 0 {
-                    if cx.trace_on {
-                        out.events
-                            .push((seq, TraceEvent::Charge { domain: cx.domain, cost: out.carry }));
-                    }
-                    out.credit += out.carry;
-                    out.carry = Cycles::ZERO;
-                }
-            }
-            EpochEntry::ChargeNow { cost, .. } => {
-                if cx.trace_on {
-                    out.events.push((seq, TraceEvent::Charge { domain: cx.domain, cost }));
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Replays one logged access (with its run repeats), mirroring
-/// [`MemorySystem::access_line_run`]: repeats are guaranteed L1 hits.
-fn lane_access(
-    cx: &mut LaneCtx<'_>,
-    seq: u32,
-    addr: u64,
-    access: Access,
-    kind: AccessKind,
-    count: u64,
-    events: &mut Vec<(u32, TraceEvent)>,
-) -> Cycles {
-    let mut cycles = lane_access_one(cx, seq, addr, access, kind, events);
-    let n = count - 1;
-    if n > 0 {
-        match kind {
-            AccessKind::Data => {
-                cx.stats.mem_accesses += n;
-                cx.stats.l1d.accesses += n;
-                cx.stats.l1d.hits += n;
-            }
-            AccessKind::Instruction => {
-                cx.stats.l1i.accesses += n;
-                cx.stats.l1i.hits += n;
-            }
-        }
-        if cx.trace_on {
-            let event = TraceEvent::CacheAccess {
-                domain: cx.domain,
-                addr: (addr >> cx.line_shift) << cx.line_shift,
-                write: access == Access::Write,
-                ifetch: kind == AccessKind::Instruction,
-                level: TraceLevel::L1,
-                class: None,
-                snooped: false,
-                cost: Cycles::new(cx.lat.l1 as u64),
-            };
-            for _ in 0..n {
-                events.push((seq, event));
-            }
-        }
-        cycles += Cycles::new(n * cx.lat.l1 as u64);
-    }
-    cycles
-}
-
-/// One timed access through the lane pipeline — the peer-free
-/// specialisation of [`MemorySystem::access_line`].
-fn lane_access_one(
-    cx: &mut LaneCtx<'_>,
-    seq: u32,
-    addr: u64,
-    access: Access,
-    kind: AccessKind,
-    events: &mut Vec<(u32, TraceEvent)>,
-) -> Cycles {
-    let line = addr >> cx.line_shift;
-    let is_write = access == Access::Write;
-    if kind == AccessKind::Data {
-        cx.stats.mem_accesses += 1;
-    }
-    let probe = match kind {
-        AccessKind::Data => cx.hier.l1d.probe_or_plan(line),
-        AccessKind::Instruction => cx.hier.l1i.probe_or_plan(line),
-    };
-    let l1_hit = matches!(probe, ProbeFill::Hit);
-    match kind {
-        AccessKind::Data => cx.stats.l1d.record(l1_hit),
-        AccessKind::Instruction => cx.stats.l1i.record(l1_hit),
-    }
-
-    let (cycles, level, class) = 'pipeline: {
-        let plan = match probe {
-            ProbeFill::Hit => {
-                let mut cycles = Cycles::new(cx.lat.l1 as u64);
-                if is_write {
-                    lane_ensure_writable(cx, seq, line, &mut cycles, events);
-                }
-                break 'pipeline (cycles, HitLevel::L1, None);
-            }
-            ProbeFill::Miss(plan) => plan,
-        };
-
-        let l2_hit = cx.hier.l2.probe_hit(line);
-        cx.stats.l2.record(l2_hit);
-        if l2_hit {
-            let mut cycles = Cycles::new(cx.lat.l2 as u64);
-            lane_fill_l1_planned(cx, line, kind, plan);
-            if is_write {
-                lane_ensure_writable(cx, seq, line, &mut cycles, events);
-            }
-            break 'pipeline (cycles, HitLevel::L2, None);
-        }
-
-        let l3_hit = cx.hier.l3.probe_hit(line);
-        cx.stats.l3.record(l3_hit);
-        if l3_hit {
-            let mut cycles = Cycles::new(cx.lat.l3 as u64);
-            cx.hier.l2.insert(line, Mesi::Shared);
-            lane_fill_l1_planned(cx, line, kind, plan);
-            if is_write {
-                lane_ensure_writable(cx, seq, line, &mut cycles, events);
-            }
-            break 'pipeline (cycles, HitLevel::L3, None);
-        }
-
-        // Full miss. The peer cannot hold the line (precheck), so the
-        // snoop branches are gone; everything else matches
-        // `miss_to_memory`.
-        let line_addr = line << cx.line_shift;
-        let class = cx.map.classify(cx.domain, PhysAddr::new(addr));
-        let mut cycles = cx.map.dram_latency(&cx.lat, class);
-        match class {
-            MemClass::Local => cx.stats.local_mem_hits += 1,
-            MemClass::Remote => cx.stats.remote_mem_hits += 1,
-            MemClass::RemoteShared => cx.stats.remote_shared_mem_hits += 1,
-        }
-        let new_state = if is_write { Mesi::Modified } else { Mesi::Exclusive };
-        cx.window.note(line);
-        let eviction = cx.hier.l3.insert(line, new_state);
-        if cx.trace_on {
-            events.push((
-                seq,
-                TraceEvent::MesiTransition {
-                    domain: cx.domain,
-                    addr: line_addr,
-                    from: TraceMesi::Invalid,
-                    to: trace_mesi(new_state),
-                },
-            ));
-        }
-        if let Some(ev) = eviction {
-            if cx.trace_on {
-                events.push((
-                    seq,
-                    TraceEvent::CacheEvict {
-                        domain: cx.domain,
-                        addr: ev.line << cx.line_shift,
-                        dirty: ev.state == Mesi::Modified,
-                    },
-                ));
-            }
-            if ev.state == Mesi::Modified {
-                *cx.writebacks += 1;
-                cycles += Cycles::new(cx.lat.mem as u64 / 2);
-            }
-            if cx.hier.in_upper_levels(ev.line) {
-                cx.hier.back_invalidate_upper(ev.line);
-                cycles += Cycles::new(cx.back_invalidate);
-            }
-        }
-        cx.hier.l2.insert(line, Mesi::Shared);
-        match kind {
-            AccessKind::Data => cx.hier.l1d.insert(line, Mesi::Shared),
-            AccessKind::Instruction => cx.hier.l1i.insert(line, Mesi::Shared),
-        };
-        (cycles, HitLevel::Memory, Some(class))
-    };
-
-    if cx.trace_on {
-        events.push((
-            seq,
-            TraceEvent::CacheAccess {
-                domain: cx.domain,
-                addr: (addr >> cx.line_shift) << cx.line_shift,
-                write: is_write,
-                ifetch: kind == AccessKind::Instruction,
-                level: trace_level(level),
-                class: class.map(trace_class),
-                snooped: false,
-                cost: cycles,
-            },
-        ));
-    }
-    cycles
-}
-
-/// Lane counterpart of [`MemorySystem::fill_l1_planned`].
-#[inline]
-fn lane_fill_l1_planned(cx: &mut LaneCtx<'_>, line: u64, kind: AccessKind, plan: FillPlan) {
-    match kind {
-        AccessKind::Data => cx.hier.l1d.fill_planned(plan, line, Mesi::Shared),
-        AccessKind::Instruction => cx.hier.l1i.fill_planned(plan, line, Mesi::Shared),
-    }
-}
-
-/// Write-hit upgrade with the peer branches removed: never snoops, so
-/// the returned `snooped` of the serial pipeline is always false here.
-fn lane_ensure_writable(
-    cx: &mut LaneCtx<'_>,
-    seq: u32,
-    line: u64,
-    _cycles: &mut Cycles,
-    events: &mut Vec<(u32, TraceEvent)>,
-) {
-    let state = cx.hier.l3.state_of(line);
-    if state == Some(Mesi::Modified) || state == Some(Mesi::Exclusive) {
-        cx.hier.l3.set_state(line, Mesi::Modified);
-        if state == Some(Mesi::Exclusive) {
-            lane_emit_upgrade(cx, seq, line, state, events);
-        }
-        return;
-    }
-    let old = cx.hier.l3.set_state(line, Mesi::Modified);
-    lane_emit_upgrade(cx, seq, line, old, events);
-}
-
-/// Lane counterpart of [`MemorySystem::emit_upgrade`].
-#[inline]
-fn lane_emit_upgrade(
-    cx: &mut LaneCtx<'_>,
-    seq: u32,
-    line: u64,
-    old: Option<Mesi>,
-    events: &mut Vec<(u32, TraceEvent)>,
-) {
-    if !cx.trace_on {
-        return;
-    }
-    if let Some(old) = old {
-        if old != Mesi::Modified {
-            events.push((
-                seq,
-                TraceEvent::MesiTransition {
-                    domain: cx.domain,
-                    addr: line << cx.line_shift,
-                    from: trace_mesi(old),
-                    to: TraceMesi::Modified,
-                },
-            ));
-        }
     }
 }
 
@@ -2501,123 +1819,6 @@ mod tests {
         assert!(!m.caches_line(DomainId::X86, X86_LOCAL));
     }
 
-    // ---- deferred epochs ---------------------------------------------------
-
-    /// Drives one deferred epoch with disjoint per-domain footprints:
-    /// singles, runs, TLB notes, retires and charge marks on both lanes.
-    fn drive_epoch(m: &mut MemorySystem, min_lane: usize) -> EpochFlushOutcome {
-        m.epoch_enter(min_lane, true);
-        for i in 0..400u64 {
-            for (domain, base) in [(DomainId::X86, X86_LOCAL), (DomainId::ARM, ARM_LOCAL)] {
-                let addr = PhysAddr::new(base.raw() + (i % 96) * 64);
-                let access = if i % 3 == 0 { Access::Write } else { Access::Read };
-                m.note_tlb_hit(domain);
-                m.access_line(domain, addr, access, AccessKind::Data);
-                if i % 7 == 0 {
-                    let far = PhysAddr::new(base.raw() + 0x10_0000 + i * 64);
-                    m.access_line_run(domain, far, Access::Read, AccessKind::Data, 5);
-                    m.note_tlb_miss(domain);
-                }
-                m.epoch_note_retire(domain, 3);
-                if i % 11 == 0 {
-                    m.epoch_note_charge(domain, Cycles::new(9));
-                }
-                m.epoch_note_charge(domain, Cycles::ZERO);
-            }
-        }
-        m.epoch_exit()
-    }
-
-    #[test]
-    fn epoch_parallel_replay_matches_serial() {
-        let mut serial = sys(HardwareModel::Separated);
-        let mut parallel = sys(HardwareModel::Separated);
-        let ts = stramash_sim::shared_tracer(1 << 16);
-        let tp = stramash_sim::shared_tracer(1 << 16);
-        serial.set_tracer(ts.clone());
-        parallel.set_tracer(tp.clone());
-
-        // A lane threshold above the lane sizes forces serial replay;
-        // 1 lets the precheck take the two-thread path.
-        let os = drive_epoch(&mut serial, usize::MAX);
-        let op = drive_epoch(&mut parallel, 1);
-        assert!(!os.report.parallel);
-        assert!(op.report.parallel, "disjoint footprints must replay on two threads");
-        assert_eq!(os.report.entries, op.report.entries);
-        assert_eq!(os.credit, op.credit);
-        for d in [DomainId::X86, DomainId::ARM] {
-            assert_eq!(serial.stats(d), parallel.stats(d));
-            assert_eq!(serial.writebacks(d), parallel.writebacks(d));
-        }
-        let es = ts.borrow().events();
-        let ep = tp.borrow().events();
-        assert_eq!(es.len(), ep.len());
-        assert_eq!(es, ep, "parallel replay must emit the identical event stream");
-
-        // Cache state converged too: the next accesses hit identically.
-        let probe = PhysAddr::new(X86_LOCAL.raw() + 64);
-        let a = serial.access_line(DomainId::X86, probe, Access::Read, AccessKind::Data);
-        let b = parallel.access_line(DomainId::X86, probe, Access::Read, AccessKind::Data);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn epoch_overlapping_footprints_fall_back_to_serial() {
-        let mut m = sys(HardwareModel::Separated);
-        m.epoch_enter(1, true);
-        for i in 0..64u64 {
-            // Both domains touch the same pool lines: never parallel.
-            let addr = PhysAddr::new(POOL.raw() + i * 64);
-            m.access_line(DomainId::X86, addr, Access::Read, AccessKind::Data);
-            m.access_line(DomainId::ARM, addr, Access::Read, AccessKind::Data);
-        }
-        m.epoch_note_charge(DomainId::X86, Cycles::ZERO);
-        m.epoch_note_charge(DomainId::ARM, Cycles::ZERO);
-        let out = m.epoch_exit();
-        assert!(!out.report.parallel, "shared lines must force the serial replay");
-        assert_eq!(out.report.entries, 130);
-    }
-
-    #[test]
-    fn epoch_defer_matches_undeferred_run() {
-        let mut direct = sys(HardwareModel::Separated);
-        let mut deferred = sys(HardwareModel::Separated);
-        let mut direct_cycles = Cycles::ZERO;
-        for i in 0..200u64 {
-            let addr = PhysAddr::new(X86_LOCAL.raw() + (i % 80) * 64);
-            let access = if i % 4 == 0 { Access::Write } else { Access::Read };
-            direct_cycles += direct.access_line(DomainId::X86, addr, access, AccessKind::Data).cycles;
-        }
-        deferred.epoch_enter(usize::MAX, true);
-        for i in 0..200u64 {
-            let addr = PhysAddr::new(X86_LOCAL.raw() + (i % 80) * 64);
-            let access = if i % 4 == 0 { Access::Write } else { Access::Read };
-            deferred.access_line(DomainId::X86, addr, access, AccessKind::Data);
-        }
-        deferred.epoch_note_charge(DomainId::X86, Cycles::ZERO);
-        let out = deferred.epoch_exit();
-        assert_eq!(out.credit[0], direct_cycles, "deferral must conserve charged cycles");
-        assert_eq!(direct.stats(DomainId::X86), deferred.stats(DomainId::X86));
-    }
-
-    #[test]
-    fn epoch_suspend_runs_live_and_resumes() {
-        let mut m = sys(HardwareModel::Separated);
-        m.epoch_enter(1, true);
-        m.access_line(DomainId::X86, X86_LOCAL, Access::Read, AccessKind::Data);
-        m.epoch_note_charge(DomainId::X86, Cycles::ZERO);
-        let flushed = m.epoch_suspend().expect("epoch was active");
-        assert_eq!(flushed.credit[0].raw(), 300, "suspend flushes the pending log");
-        assert!(!m.epoch_active());
-        let live = m.access_line(DomainId::X86, X86_LOCAL, Access::Read, AccessKind::Data);
-        assert_eq!(live.cycles.raw(), 4, "suspended accesses run the live pipeline");
-        m.epoch_resume();
-        assert!(m.epoch_active());
-        let out = m.epoch_exit();
-        assert_eq!(out.report.entries, 2, "final tally still counts the suspend flush");
-        assert_eq!(out.credit[0].raw(), 0, "suspend already drained the credit");
-    }
-
     // ---- compiled access plans --------------------------------------------
 
     /// A small mixed plan: a resident working set plus a streaming leg,
@@ -2666,19 +1867,5 @@ mod tests {
         assert_eq!(a, b, "tracing must not change plan-replay cycles");
         assert_eq!(traced.stats(DomainId::X86), plain.stats(DomainId::X86));
         assert!(!t.borrow().events().is_empty());
-    }
-
-    #[test]
-    fn run_plan_defers_inside_epoch() {
-        let plan = mixed_plan();
-        let mut epoched = sys(HardwareModel::Separated);
-        let mut direct = sys(HardwareModel::Separated);
-        epoched.epoch_enter(usize::MAX, true);
-        assert_eq!(epoched.run_plan(DomainId::X86, &plan, 0..plan.len()), Cycles::ZERO);
-        epoched.epoch_note_charge(DomainId::X86, Cycles::ZERO);
-        let out = epoched.epoch_exit();
-        let want = direct.run_plan(DomainId::X86, &plan, 0..plan.len());
-        assert_eq!(out.credit[0], want);
-        assert_eq!(epoched.stats(DomainId::X86), direct.stats(DomainId::X86));
     }
 }

@@ -99,7 +99,7 @@ impl DsmDirectory {
 
     /// Whether any page is currently replicated on both domains. A
     /// write to such a page triggers a cross-domain invalidation
-    /// round-trip, so replicas block the deferred-epoch horizon.
+    /// round-trip, so replicas block the cross-domain horizon.
     #[must_use]
     pub fn has_replicas(&self) -> bool {
         self.pages.values().any(|p| p.state == DsmPageState::SharedBoth)

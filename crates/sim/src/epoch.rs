@@ -1,88 +1,26 @@
-//! Epoch-parallel execution policy (§7.3 scaling, ROADMAP item 3).
+//! Cross-domain quiescence query.
 //!
 //! The two ISA domains of a fused machine only observe each other
 //! through a handful of channels: message-ring deliveries, IPIs,
-//! snoop-visible cache lines and DSM page transfers. Between such
-//! events each domain's timing is a pure function of its own private
-//! cache state, which means the simulator may *defer* the timing
-//! replay of both domains and run it on two host threads — as long as
-//! it can prove, conservatively, that no cross-domain event falls
-//! inside the window. This module holds the small shared vocabulary
-//! for that proof:
-//!
-//! * [`EpochHorizon`] — the answer a kernel layer gives when asked
-//!   "may an epoch open right now?". `Blocked` carries a static reason
-//!   string used for diagnostics; any pending cross-domain state
-//!   (undelivered message bytes, replicated DSM pages, an armed
-//!   watchdog mid-exchange) blocks the horizon and forces the serial
-//!   interleaving.
-//! * [`EpochPolicy`] — host-side tuning: whether epoch-parallel replay
-//!   is enabled at all and how many deferred entries a *lane* (one
-//!   domain's slice of an epoch) must hold before a thread barrier
-//!   pays for itself. Neither knob can change simulated cycles — the
-//!   replay is bit-identical either way — they only trade host time.
-//! * [`EpochReport`] — what one flushed epoch did, for benches and
-//!   tests that assert parallelism actually happened.
-//!
-//! The heavy machinery (deferred entry log, snoop windows, the lane
-//! executor) lives in `stramash-mem`; the kernel layer consults the
-//! horizon and brackets workload phases with epochs.
+//! snoop-visible cache lines and DSM page transfers. [`EpochHorizon`]
+//! is a kernel layer's answer to "is any of those couplings live right
+//! now?". Nothing in the simulator acts on it; it is kept as a
+//! diagnostic query because the repo benchmark's `OsSystem` forwarder
+//! implements it by delegation.
 
-/// Environment variable forcing epoch-parallel mode on (`1`/`true`) or
-/// off (`0`/`false`) regardless of what the embedding requested.
-pub const EPOCH_ENV: &str = "STRAMASH_EPOCH_PARALLEL";
-
-/// Environment variable overriding [`EpochPolicy::min_lane_entries`].
-pub const EPOCH_MIN_LANE_ENV: &str = "STRAMASH_EPOCH_MIN_LANE";
-
-/// Environment variable overriding [`EpochPolicy::wide`]
-/// (`auto` / `force` / `never`).
-pub const EPOCH_WIDE_ENV: &str = "STRAMASH_EPOCH_WIDE";
-
-/// How a boundary flush decides whether to run the two lanes on two
-/// host threads. Purely host-side: the replay is bit-identical either
-/// way, so this only trades host wall-clock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WideReplay {
-    /// Go wide only when the host has ≥ 2 cores — on a single core the
-    /// spawn + barrier per epoch is pure overhead.
-    #[default]
-    Auto,
-    /// Always go wide when the lanes qualify. Determinism tests use
-    /// this to exercise the two-thread executor on any host.
-    Force,
-    /// Never spawn threads; every boundary replay is serial.
-    Never,
-}
-
-impl WideReplay {
-    /// Whether a qualifying flush may spawn threads on this host. The
-    /// host core count is sampled once per process.
-    #[must_use]
-    pub fn allows(self) -> bool {
-        static MULTI_CORE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        match self {
-            WideReplay::Auto => *MULTI_CORE.get_or_init(|| {
-                std::thread::available_parallelism().map_or(1, usize::from) >= 2
-            }),
-            WideReplay::Force => true,
-            WideReplay::Never => false,
-        }
-    }
-}
-
-/// Answer to "may a lockstep epoch open (or keep running) right now?".
+/// Answer to "are the two domains decoupled right now?".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EpochHorizon {
-    /// No cross-domain event is pending; domains may defer freely.
+    /// No cross-domain event is pending.
     Clear,
-    /// A cross-domain coupling is live; the named channel blocks the
-    /// epoch and the run must interleave serially until it drains.
+    /// A cross-domain coupling is live (undelivered message bytes,
+    /// replicated DSM pages, an armed watchdog mid-exchange); the
+    /// static string names the channel.
     Blocked(&'static str),
 }
 
 impl EpochHorizon {
-    /// True when no channel blocks the epoch.
+    /// True when no channel couples the domains.
     #[must_use]
     pub fn is_clear(self) -> bool {
         matches!(self, EpochHorizon::Clear)
@@ -98,76 +36,6 @@ impl EpochHorizon {
     }
 }
 
-/// Host-side epoch tuning. Never affects simulated cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EpochPolicy {
-    /// Master switch for deferred-epoch execution.
-    pub enabled: bool,
-    /// Minimum deferred entries per lane before the flush uses two
-    /// host threads; below this the barrier costs more than it saves
-    /// and the flush replays serially (still deferred, still exact).
-    pub min_lane_entries: usize,
-    /// Host-thread decision for qualifying flushes (see [`WideReplay`]).
-    pub wide: WideReplay,
-}
-
-impl EpochPolicy {
-    /// Default lane threshold: two page-sized batches of element ops.
-    pub const DEFAULT_MIN_LANE: usize = 1024;
-
-    /// Policy from the process environment: disabled unless
-    /// [`EPOCH_ENV`] opts in; lane threshold from
-    /// [`EPOCH_MIN_LANE_ENV`] when parseable.
-    #[must_use]
-    pub fn from_env() -> Self {
-        let enabled = match std::env::var(EPOCH_ENV) {
-            Ok(v) => matches!(v.trim(), "1" | "true" | "on" | "yes"),
-            Err(_) => false,
-        };
-        let min_lane_entries = std::env::var(EPOCH_MIN_LANE_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(Self::DEFAULT_MIN_LANE);
-        let wide = match std::env::var(EPOCH_WIDE_ENV).as_deref().map(str::trim) {
-            Ok("force") => WideReplay::Force,
-            Ok("never") => WideReplay::Never,
-            _ => WideReplay::Auto,
-        };
-        EpochPolicy { enabled, min_lane_entries, wide }
-    }
-}
-
-impl Default for EpochPolicy {
-    fn default() -> Self {
-        EpochPolicy {
-            enabled: false,
-            min_lane_entries: Self::DEFAULT_MIN_LANE,
-            wide: WideReplay::Auto,
-        }
-    }
-}
-
-/// Outcome of one flushed epoch, for benches and determinism tests.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EpochReport {
-    /// Total deferred entries replayed.
-    pub entries: usize,
-    /// Entries per domain lane (x86, arm).
-    pub lanes: [usize; 2],
-    /// Whether the flush ran the two lanes on separate host threads.
-    pub parallel: bool,
-}
-
-impl EpochReport {
-    /// Merges a flush report into a running tally.
-    pub fn absorb(&mut self, other: EpochReport) {
-        self.entries += other.entries;
-        self.lanes[0] += other.lanes[0];
-        self.lanes[1] += other.lanes[1];
-        self.parallel |= other.parallel;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,22 +48,5 @@ mod tests {
         assert_eq!(clear.and(blocked), blocked);
         assert_eq!(blocked.and(EpochHorizon::Blocked("dsm")), blocked);
         assert_eq!(clear.and(clear), clear);
-    }
-
-    #[test]
-    fn policy_default_is_serial() {
-        let p = EpochPolicy::default();
-        assert!(!p.enabled);
-        assert_eq!(p.min_lane_entries, EpochPolicy::DEFAULT_MIN_LANE);
-    }
-
-    #[test]
-    fn report_absorbs() {
-        let mut tally = EpochReport::default();
-        tally.absorb(EpochReport { entries: 10, lanes: [6, 4], parallel: false });
-        tally.absorb(EpochReport { entries: 8, lanes: [4, 4], parallel: true });
-        assert_eq!(tally.entries, 18);
-        assert_eq!(tally.lanes, [10, 8]);
-        assert!(tally.parallel);
     }
 }

@@ -53,7 +53,7 @@ pub mod trace;
 
 pub use chaos::{shrink, ChaosEvent, ChaosSchedule};
 pub use checkpoint::{CheckpointError, Decoder, Encoder};
-pub use epoch::{EpochHorizon, EpochPolicy, EpochReport, WideReplay};
+pub use epoch::EpochHorizon;
 pub use config::{
     CacheConfig, CacheGeometry, CxlCosts, DomainConfig, HardwareModel, Interconnect, LatencyTable,
     SimConfig,

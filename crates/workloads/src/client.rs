@@ -293,13 +293,7 @@ impl<'a, S: OsSystem> MemoryClient<'a, S> {
         if fast {
             self.sys.session_begin(&mut self.session)?;
         }
-        // A batch phase is private by construction (no migrate, no
-        // unmap, faults suspend) — the natural deferred-epoch bracket.
-        // `epoch_open` checks the policy and the cross-domain horizon;
-        // nesting inside a wider epoch (e.g. the pair runner's) is
-        // fine, the outermost close replays.
-        let epoch = fast && self.sys.epoch_open();
-        Ok(BatchScope { c: self, fast, epoch })
+        Ok(BatchScope { c: self, fast })
     }
 }
 
@@ -314,17 +308,6 @@ pub struct BatchScope<'c, 'a, S: OsSystem> {
     /// Whether the batched fast path is active (false = delegate to the
     /// scalar reference ops).
     fast: bool,
-    /// Whether this scope opened a deferred-epoch level (closed on
-    /// drop).
-    epoch: bool,
-}
-
-impl<S: OsSystem> Drop for BatchScope<'_, '_, S> {
-    fn drop(&mut self) {
-        if self.epoch {
-            self.c.sys.epoch_close();
-        }
-    }
 }
 
 impl<S: OsSystem> BatchScope<'_, '_, S> {

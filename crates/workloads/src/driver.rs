@@ -2,10 +2,9 @@
 //! collects the metrics the paper's tables and figures report.
 
 use crate::npb::{run_npb, Class, NpbKind, NpbOutcome};
-use crate::pair::{run_pair, PairConfig, PairOutcome};
 use crate::target::{SystemKind, TargetSystem};
 use stramash_kernel::system::{OsError, OsSystem};
-use stramash_sim::{Cycles, DomainId, EpochPolicy, HardwareModel};
+use stramash_sim::{Cycles, DomainId, HardwareModel};
 use std::fmt;
 
 /// One experiment configuration: a design on a hardware model.
@@ -136,7 +135,7 @@ pub fn run_benchmark_with(
     class: Class,
     l3_bytes: Option<u64>,
 ) -> Result<RunReport, OsError> {
-    run_benchmark_inner(config, kind, class, l3_bytes, true, None)
+    run_benchmark_inner(config, kind, class, l3_bytes, true)
 }
 
 /// As [`run_benchmark`], but with client-side batching disabled: one
@@ -152,70 +151,7 @@ pub fn run_benchmark_scalar(
     kind: NpbKind,
     class: Class,
 ) -> Result<RunReport, OsError> {
-    run_benchmark_inner(config, kind, class, None, false, None)
-}
-
-/// As [`run_benchmark`], pinning the [`EpochPolicy`] a nested sweep's
-/// core-budget split hands each config (`None` keeps the process
-/// environment's policy). The policy only trades host wall-clock; the
-/// report is identical for every setting.
-///
-/// # Errors
-///
-/// OS or configuration errors.
-pub fn run_benchmark_with_policy(
-    config: Configuration,
-    kind: NpbKind,
-    class: Class,
-    policy: Option<EpochPolicy>,
-) -> Result<RunReport, OsError> {
-    run_benchmark_inner(config, kind, class, None, true, policy)
-}
-
-/// Everything measured in one pair-workload run — the nested-sweep
-/// analogue of [`RunReport`]. `cycles` and `messages` are the
-/// determinism fingerprint the nested harness compares across
-/// parallelism levels.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PairReport {
-    /// The OS design that ran.
-    pub kind: SystemKind,
-    /// Workload outcome (checksum, phase and epoch counters).
-    pub outcome: PairOutcome,
-    /// Final per-domain clocks (x86, Arm).
-    pub cycles: [u64; 2],
-    /// Inter-kernel messages exchanged.
-    pub messages: u64,
-}
-
-/// One point of a nested sweep×epoch run: boots `kind` on the Shared
-/// model, pins the inner [`EpochPolicy`] handed down by the sweep
-/// pool's core-budget split (`None` keeps the process environment's
-/// policy), and runs the two-thread pair workload. The policy only
-/// moves host wall-clock; the returned fingerprint is identical for
-/// every policy.
-///
-/// # Errors
-///
-/// OS or configuration errors.
-pub fn run_pair_benchmark(
-    kind: SystemKind,
-    cfg: PairConfig,
-    policy: Option<EpochPolicy>,
-) -> Result<PairReport, OsError> {
-    let mut sys = TargetSystem::build(kind, HardwareModel::Shared)?;
-    if let Some(p) = policy {
-        sys.base_mut().set_epoch_policy(p);
-    }
-    let outcome = run_pair(&mut sys, cfg)?;
-    let base = sys.base();
-    Ok(PairReport {
-        kind,
-        outcome,
-        cycles: [DomainId::X86, DomainId::ARM]
-            .map(|d| base.timebase.clock(d).cycles().raw()),
-        messages: base.msg.counters().total(),
-    })
+    run_benchmark_inner(config, kind, class, None, false)
 }
 
 fn run_benchmark_inner(
@@ -224,16 +160,12 @@ fn run_benchmark_inner(
     class: Class,
     l3_bytes: Option<u64>,
     batching: bool,
-    policy: Option<EpochPolicy>,
 ) -> Result<RunReport, OsError> {
     let mut cfg = stramash_sim::SimConfig::big_pair().with_hw_model(config.model);
     if let Some(l3) = l3_bytes {
         cfg = cfg.with_l3_size(l3);
     }
     let mut sys = TargetSystem::build_with(config.kind, cfg)?;
-    if let Some(p) = policy {
-        sys.base_mut().set_epoch_policy(p);
-    }
     if !batching {
         sys.base_mut().set_batching(false);
     }
@@ -329,27 +261,6 @@ mod tests {
             shm.messages
         );
         assert!(stramash.replicated_pages * 2 < shm.replicated_pages);
-    }
-
-    #[test]
-    fn pair_benchmark_fingerprint_ignores_epoch_policy() {
-        // The nested-sweep contract: the inner epoch policy handed down
-        // by the core-budget split only trades host wall-clock — the
-        // simulated fingerprint is identical for every policy.
-        let cfg = PairConfig { elems: 1200, phases: 4, heartbeat: true };
-        let off = EpochPolicy { enabled: false, ..EpochPolicy::default() };
-        let wide = EpochPolicy {
-            enabled: true,
-            min_lane_entries: 64,
-            wide: stramash_sim::WideReplay::Force,
-        };
-        let a = run_pair_benchmark(SystemKind::Stramash, cfg, Some(off)).unwrap();
-        let b = run_pair_benchmark(SystemKind::Stramash, cfg, Some(wide)).unwrap();
-        assert_eq!(a.cycles, b.cycles);
-        assert_eq!(a.messages, b.messages);
-        assert_eq!(a.outcome.checksum.to_bits(), b.outcome.checksum.to_bits());
-        assert_eq!(a.outcome.parallel_epochs, 0);
-        assert!(b.outcome.parallel_epochs > 0, "forced-wide leg must go wide");
     }
 
     #[test]

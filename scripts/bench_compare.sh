@@ -66,7 +66,7 @@ f, b = flatten(fresh), flatten(base)
 # Most metrics are times (lower is better); these are the exceptions.
 HIGHER_IS_BETTER = ("speedup", "accesses_per_sec", "throughput")
 # Machine shape / run identity, not performance.
-SKIP = ("workers", "configs", "host_cores", "wide_replay", "requests", "fingerprint")
+SKIP = ("workers", "configs", "host_cores", "requests", "fingerprint")
 # Speedup metrics that track the headline optimisations: a drop here
 # means the optimisation itself eroded, not just runner noise, so it
 # gets its own advisory exit code (5).

@@ -39,8 +39,6 @@ fn usage() -> ExitCode {
   stramash-cli run <is|kv> [--system <...>] [--model <...>] [--class <...>] [--requests N]
                            [--seed N] [--stage S] [--policy <restart|degrade>]
                            [--checkpoint <path>]
-  stramash-cli pair [--system <...>] [--model <...>] [--elems N] [--phases N]
-                    [--parallel] [--no-heartbeat]
   stramash-cli serve [--model <...>] [--workers N] [--connections N] [--window N]
                      [--requests N] [--loads a,b,c] [--read-pct P] [--keyspace K]
                      [--payload B] [--seed N]
@@ -150,9 +148,7 @@ fn cmd_npb(args: &[String]) -> ExitCode {
 }
 
 fn cmd_sweep(args: &[String]) -> ExitCode {
-    use stramash_repro::bench::{host_cores, parallel_map_nested};
-    use stramash_repro::sim::WideReplay;
-    use stramash_repro::workloads::driver::run_benchmark_with_policy;
+    use stramash_repro::bench::{parallel_map, sweep_workers};
 
     let Some(kind) = args.first().and_then(|a| parse_kind(a)) else {
         return usage();
@@ -165,20 +161,10 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
     let parallel = args.iter().any(|a| a == "--parallel");
     let configs = Configuration::figure9_set();
     let reports: Vec<_> = if parallel {
-        // Nested parallelism: configs fan out across the sweep pool
-        // (STRAMASH_SWEEP_WORKERS) while each config runs with the inner
-        // epoch policy from the deterministic core-budget split — wide
-        // boundary replay only on cores the fan-out left spare. Reports
-        // are identical to the serial sweep's, in the same order.
-        let (reports, workers, wide) = parallel_map_nested(configs.clone(), |c, policy| {
-            run_benchmark_with_policy(c, kind, class, Some(policy)).expect("run")
-        });
-        println!(
-            "nested sweep: {workers} worker(s) × {} inner replay on {} host core(s)",
-            if wide == WideReplay::Force { "wide" } else { "serial" },
-            host_cores()
-        );
-        reports
+        // Configs fan out across the sweep pool (STRAMASH_SWEEP_WORKERS);
+        // reports are identical to the serial sweep's, in the same order.
+        println!("parallel sweep: {} worker(s)", sweep_workers(configs.len()));
+        parallel_map(configs, |c| run_benchmark(c, kind, class).expect("run"))
     } else {
         configs.iter().map(|&c| run_benchmark(c, kind, class).expect("run")).collect()
     };
@@ -398,70 +384,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `stramash-cli pair`: the two-thread epoch workload. `--parallel`
-/// enables deferred-epoch execution (same simulated cycles, fewer
-/// host seconds); the printed fingerprint lets you diff the two modes.
-fn cmd_pair(args: &[String]) -> ExitCode {
-    use stramash_repro::workloads::pair::{run_pair, PairConfig};
-    let system = match flag(args, "--system").as_deref() {
-        Some(s) => match parse_system(s) {
-            Some(k) => k,
-            None => return usage(),
-        },
-        None => SystemKind::Stramash,
-    };
-    let model = match flag(args, "--model").as_deref() {
-        Some(s) => match parse_model(s) {
-            Some(m) => m,
-            None => return usage(),
-        },
-        None => HardwareModel::Shared,
-    };
-    let cfg = PairConfig {
-        elems: flag(args, "--elems").and_then(|v| v.parse().ok()).unwrap_or(6_000),
-        phases: flag(args, "--phases").and_then(|v| v.parse().ok()).unwrap_or(24),
-        heartbeat: !args.iter().any(|a| a == "--no-heartbeat"),
-    };
-    let parallel = args.iter().any(|a| a == "--parallel");
-    let mut sys = match TargetSystem::build(system, model) {
-        Ok(s) => s,
-        Err(e) => return fail("boot", e),
-    };
-    if parallel {
-        let mut policy = sys.base().epoch_policy();
-        policy.enabled = true;
-        // --parallel is explicit intent: run the two-thread replay
-        // even on a host whose core count would auto-decline it.
-        policy.wide = stramash_repro::sim::WideReplay::Force;
-        sys.base_mut().set_epoch_policy(policy);
-    }
-    let wall = std::time::Instant::now();
-    let out = match run_pair(&mut sys, cfg) {
-        Ok(o) => o,
-        Err(e) => return fail("run", e),
-    };
-    let wall = wall.elapsed().as_secs_f64();
-    let base = sys.base();
-    println!(
-        "pair on {system} ({model}): {} phases, checksum {:.6}, {} msgs",
-        out.phases,
-        out.checksum,
-        base.msg.counters().total()
-    );
-    println!(
-        "clocks: x86 {} cycles, arm {} cycles (identical in serial and parallel modes)",
-        base.timebase.clock(DomainId::X86).cycles().raw(),
-        base.timebase.clock(DomainId::ARM).cycles().raw()
-    );
-    println!(
-        "epochs: {} parallel boundary replays, {} deferred entries, {wall:.3}s host wall-clock{}",
-        out.parallel_epochs,
-        out.epoch_entries,
-        if parallel { " (epoch-parallel)" } else { " (serial)" }
-    );
-    ExitCode::SUCCESS
-}
-
 /// `stramash-cli serve`: the production-scale serving scenario —
 /// throughput-vs-offered-load and p50/p99-vs-load curves for every
 /// system kind, from one deterministic seeded schedule per load point.
@@ -609,7 +531,6 @@ fn main() -> ExitCode {
         Some("ipi") => cmd_ipi(),
         Some("trace") => cmd_trace(&args[1..]),
         Some("run") => cmd_run(&args[1..]),
-        Some("pair") => cmd_pair(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("chaos") => cmd_chaos(&args[1..]),
         _ => usage(),

@@ -18,7 +18,6 @@
 
 use stramash_repro::kernel::system::OsSystem;
 use stramash_repro::prelude::*;
-use stramash_repro::sim::{EpochPolicy, WideReplay};
 use stramash_repro::workloads::kvstore::{run_kv, KvOp};
 use stramash_repro::workloads::npb::{run_npb, Class, NpbKind};
 use stramash_repro::workloads::target::{SystemKind, TargetSystem};
@@ -42,19 +41,7 @@ struct Fingerprint {
 
 /// Runs the fixed workload on a fresh system and captures the stats.
 fn fingerprint(kind: SystemKind, batching: bool) -> Fingerprint {
-    fingerprint_epochs(kind, batching, false)
-}
-
-/// As [`fingerprint`], optionally forcing wide epoch-parallel replay
-/// (otherwise the policy is pinned off, regardless of the process
-/// environment).
-fn fingerprint_epochs(kind: SystemKind, batching: bool, forced_wide_epochs: bool) -> Fingerprint {
     let mut sys = TargetSystem::build(kind, HardwareModel::Shared).unwrap();
-    sys.base_mut().set_epoch_policy(if forced_wide_epochs {
-        EpochPolicy { enabled: true, min_lane_entries: 64, wide: WideReplay::Force }
-    } else {
-        EpochPolicy::default()
-    });
     sys.base_mut().set_batching(batching);
     let pid = sys.spawn(DomainId::X86).unwrap();
     let npb = run_npb(NpbKind::Is, &mut sys, pid, Class::Tiny, kind.migrates()).unwrap();
@@ -151,18 +138,6 @@ fn batched_path_is_cycle_identical_to_scalar() {
         let batched = fingerprint(kind, true);
         let scalar = fingerprint(kind, false);
         assert_eq!(batched, scalar, "{kind}: batching must be cycle-identical to scalar ops");
-    }
-}
-
-#[test]
-fn plan_segments_under_forced_wide_epochs_match_goldens() {
-    // The IS ranking loops now run as data-dependent plan segments
-    // (`plan_map_indexed`); stacking forced-wide epoch replay on top of
-    // them must still reproduce the exact golden record, cycle for
-    // cycle.
-    for kind in SystemKind::ALL {
-        let wide = fingerprint_epochs(kind, true, true);
-        assert_eq!(wide, golden(kind), "{kind}: forced-wide epochs drifted from the goldens");
     }
 }
 

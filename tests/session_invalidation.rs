@@ -16,7 +16,6 @@ use stramash_repro::kernel::session::AccessSession;
 use stramash_repro::kernel::system::{OsError, OsSystem};
 use stramash_repro::kernel::vma::VmaProt;
 use stramash_repro::prelude::*;
-use stramash_repro::sim::{EpochPolicy, WideReplay};
 use stramash_repro::workloads::client::MemoryClient;
 use stramash_repro::workloads::target::{SystemKind, TargetSystem};
 
@@ -136,62 +135,38 @@ fn batched_migration_sweep_is_cycle_identical_to_scalar() {
     }
 }
 
-/// Regression for the epoch/session-generation interaction: a TLB
-/// shootdown issued while an epoch is active (here, an `mprotect`
-/// downgrade during domain A's lane) must be observed by domain B's
-/// cached session *immediately* — the protection change suspend-wraps
-/// the epoch — not only after the boundary replay. Ran both ways and
-/// compared, so the epoch machinery cannot even shift the timing.
-fn shootdown_mid_epoch(epochs: bool) -> (bool, u64, u64) {
+/// A TLB shootdown in one domain (an `mprotect` downgrade issued by
+/// domain A) must be observed by domain B's cached session at B's very
+/// next `session_begin`. Runtime and data are pinned so the shootdown
+/// path cannot shift simulated time either.
+#[test]
+fn mprotect_invalidates_peer_session_immediately() {
     let mut sys = TargetSystem::build(SystemKind::Stramash, HardwareModel::Shared).unwrap();
-    // Pin the policy both ways so the serial leg stays serial even in
-    // the CI job that exports STRAMASH_EPOCH_PARALLEL=1. Forced wide so
-    // the epoch actually opens on a single-core host.
-    sys.base_mut().set_epoch_policy(EpochPolicy {
-        enabled: epochs,
-        min_lane_entries: 16,
-        wide: WideReplay::Force,
-    });
     let pid_a = sys.spawn(DomainId::X86).unwrap();
     let pid_b = sys.spawn(DomainId::ARM).unwrap();
     let buf = sys.mmap(pid_b, 2 * PAGE_SIZE, VmaProt::rw()).unwrap();
     sys.store_u64(pid_b, buf, 0x5eed).unwrap();
     let scratch = sys.mmap(pid_a, PAGE_SIZE, VmaProt::rw()).unwrap();
 
-    let opened = sys.epoch_open();
-    assert_eq!(opened, epochs, "epoch must open exactly when the policy allows it");
-    // Domain B caches a *writable* translation inside the epoch.
+    // Domain B caches a *writable* translation.
     let mut session = AccessSession::new(pid_b);
     sys.session_begin(&mut session).unwrap();
     sys.session_translate(&mut session, buf, true).unwrap();
-    // Domain A's lane defers some timed work, then issues the
-    // shootdown: downgrade B's page to read-only.
+    // Domain A does some timed work, then downgrades B's page to
+    // read-only.
     sys.store_u64(pid_a, scratch, 1).unwrap();
     sys.mprotect(pid_b, buf, VmaProt::ro()).unwrap();
-    // B revalidates mid-epoch: the cached writable entry must already
-    // be dead, and the write must be refused exactly as on the
-    // epoch-off machine.
+    // B revalidates: the cached writable entry must already be dead.
     sys.session_begin(&mut session).unwrap();
-    let refused = matches!(
-        sys.session_translate(&mut session, buf, true),
-        Err(OsError::PermissionDenied { .. })
+    assert!(
+        matches!(
+            sys.session_translate(&mut session, buf, true),
+            Err(OsError::PermissionDenied { .. })
+        ),
+        "the downgrade must refuse the cached writable entry"
     );
     // Reads still resolve through the fresh translation.
     sys.session_translate(&mut session, buf, false).unwrap();
-    if opened {
-        sys.epoch_close();
-    }
-    let value = sys.load_u64(pid_b, buf).unwrap();
-    (refused, value, sys.runtime().raw())
-}
-
-#[test]
-fn mid_epoch_shootdown_invalidates_peer_session_immediately() {
-    let (refused_off, value_off, runtime_off) = shootdown_mid_epoch(false);
-    let (refused_on, value_on, runtime_on) = shootdown_mid_epoch(true);
-    assert!(refused_off, "baseline: downgrade must refuse the cached writable entry");
-    assert!(refused_on, "under epochs: the shootdown must not be observed late");
-    assert_eq!(value_on, value_off, "data must be unaffected by epoch execution");
-    assert_eq!(value_off, 0x5eed);
-    assert_eq!(runtime_on, runtime_off, "epoch suspend-wrap must not move simulated time");
+    assert_eq!(sys.load_u64(pid_b, buf).unwrap(), 0x5eed);
+    assert_eq!(sys.runtime().raw(), 4984, "simulated runtime drifted");
 }
